@@ -4,12 +4,19 @@
 // modes (scalar / AES-NI / VAES), Huffman decode (tree walk vs. the
 // multi-symbol probe table), and the SZ predict/quantize row kernels
 // (scalar / SSE2 / AVX2) — forcing each level in-process through
-// cpu::override_features_for_testing().
+// cpu::override_features_for_testing().  The entropy encoders (Huffman
+// encode, zlite deflate) are timed against the per-bit and per-byte
+// reference encoders they must match byte for byte
+// (src/testing/reference_coders.h), on a hard-like payload (wide
+// quantization codes, near-random packed bytes) and an easy-like one
+// (mostly the zero bin, long byte runs).
 //
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
 //   * AES-NI CTR throughput is below 4x the scalar backend,
-//   * probe-table Huffman decode is below 2x the tree walk, or
+//   * probe-table Huffman decode is below 2x the tree walk,
+//   * Huffman encode is below 1.5x the reference, or zlite deflate below
+//     1.2x, over a MB of each payload (the speedup on the summed time), or
 //   * dispatch silently fell back to scalar although cpuid reports the
 //     hardware feature (catches build-system regressions that drop the
 //     -m flags or the SZSEC_HAVE_* defines).
@@ -27,6 +34,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu.h"
@@ -35,6 +43,8 @@
 #include "crypto/aes.h"
 #include "huffman/huffman.h"
 #include "sz/kernels.h"
+#include "testing/reference_coders.h"
+#include "zlite/zlite.h"
 
 namespace {
 
@@ -145,6 +155,86 @@ void bench_huffman(std::vector<KernelResult>& out, double& ratio) {
   ratio = probe / tree;
 }
 
+// ----------------------------------------------------- Entropy encoders
+
+// Quantization codes for the encoder rows.  Hard-like: a wide spread, as
+// on a turbulent field at a tight bound, which packs to near-random bytes.
+// Easy-like: a sparse field, mostly runs of the zero bin.
+std::vector<uint32_t> entropy_symbols(bool hard, size_t count) {
+  constexpr uint32_t kRadius = 32768;
+  std::mt19937_64 rng(hard ? 0x4A3D : 0xEA5E);
+  std::normal_distribution<double> gauss(0.0, hard ? 40.0 : 2.0);
+  std::vector<uint32_t> symbols(count, kRadius);
+  for (size_t i = 0; i < count;) {
+    const size_t run = hard ? 1 : 1 + rng() % 4000;
+    if (hard || rng() % 4 == 0) {
+      for (size_t k = 0; k < run && i + k < count; ++k) {
+        const auto d = static_cast<int64_t>(std::lround(gauss(rng)));
+        symbols[i + k] =
+            static_cast<uint32_t>(kRadius + std::clamp<int64_t>(d, -512, 512));
+      }
+    }
+    i += run;
+  }
+  return symbols;
+}
+
+// Reference and library MB/s for one encoder, summed as seconds per MB
+// over the payloads, for its speedup on both payloads together.
+struct EncoderTimes {
+  double reference_s = 0;
+  double library_s = 0;
+
+  void add(std::vector<KernelResult>& out, const std::string& kernel,
+           double reference_mbps, double library_mbps) {
+    out.push_back({kernel, "reference", reference_mbps});
+    out.push_back({kernel, "scalar", library_mbps});
+    reference_s += 1 / reference_mbps;
+    library_s += 1 / library_mbps;
+  }
+  double speedup() const { return reference_s / library_s; }
+};
+
+// Huffman encode and zlite deflate (of the Huffman-packed codes, what the
+// codec's stage 4 sees) against their references; returns the speedups.
+std::pair<double, double> bench_entropy_encoders(
+    std::vector<KernelResult>& out) {
+  namespace ref = szsec::testing::reference;
+  constexpr size_t kCount = size_t{1} << 22;
+  EncoderTimes encode, deflate;
+  for (const bool hard : {true, false}) {
+    const std::string payload = hard ? "hard" : "easy";
+    const std::vector<uint32_t> symbols = entropy_symbols(hard, kCount);
+    std::vector<uint64_t> freq(65536, 0);
+    for (uint32_t s : symbols) ++freq[s];
+    const szsec::huffman::CodeTable table =
+        szsec::huffman::build_code_table(freq);
+    const Bytes packed = szsec::huffman::encode(table, symbols);
+    const BytesView in(packed);
+    SZSEC_REQUIRE(packed == ref::huffman_encode(table, symbols),
+                  "huffman encode differs from the reference");
+    SZSEC_REQUIRE(szsec::zlite::deflate(in) == ref::deflate(in),
+                  "zlite deflate differs from the reference");
+
+    const size_t symbol_bytes = kCount * sizeof(uint32_t);
+    encode.add(out, "huffman-encode-" + payload, time_mbps(symbol_bytes, [&] {
+                 SZSEC_REQUIRE(!ref::huffman_encode(table, symbols).empty(),
+                               "empty");
+               }),
+               time_mbps(symbol_bytes, [&] {
+                 SZSEC_REQUIRE(!szsec::huffman::encode(table, symbols).empty(),
+                               "empty");
+               }));
+    deflate.add(out, "zlite-deflate-" + payload, time_mbps(packed.size(), [&] {
+                  SZSEC_REQUIRE(!ref::deflate(in).empty(), "empty");
+                }),
+                time_mbps(packed.size(), [&] {
+                  SZSEC_REQUIRE(!szsec::zlite::deflate(in).empty(), "empty");
+                }));
+  }
+  return {encode.speedup(), deflate.speedup()};
+}
+
 // ------------------------------------------------------------ SZ kernels
 
 void bench_sz(uint32_t level_mask, const std::string& level,
@@ -210,6 +300,7 @@ int main(int argc, char** argv) {
   double huffman_ratio = 0;
   cpu::override_features_for_testing(detected);
   bench_huffman(results, huffman_ratio);
+  const auto [encode_ratio, deflate_ratio] = bench_entropy_encoders(results);
 
   // SZ row kernels at every available level.
   bench_sz(0, "scalar", results);
@@ -255,11 +346,27 @@ int main(int argc, char** argv) {
     f.pass = f.ratio >= f.floor;
     floors.push_back(f);
   }
+  {
+    FloorResult f;
+    f.name = "huffman-encode-vs-reference";
+    f.floor = 1.5;
+    f.ratio = encode_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "zlite-deflate-vs-reference";
+    f.floor = 1.2;
+    f.ratio = deflate_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
 
   // Human-readable table.
-  std::printf("%-24s %-8s %12s\n", "kernel", "level", "MB/s");
+  std::printf("%-24s %-10s %12s\n", "kernel", "level", "MB/s");
   for (const KernelResult& r : results) {
-    std::printf("%-24s %-8s %12.1f\n", r.kernel.c_str(), r.level.c_str(),
+    std::printf("%-24s %-10s %12.1f\n", r.kernel.c_str(), r.level.c_str(),
                 r.mbps);
   }
   std::printf("\ndispatch: aes=%s sz=%s (%s)\n", aes_backend.c_str(),
@@ -267,11 +374,11 @@ int main(int argc, char** argv) {
   bool all_pass = dispatch_ok;
   for (const FloorResult& f : floors) {
     if (f.skipped) {
-      std::printf("floor %-24s skipped (feature not detected)\n",
+      std::printf("floor %-28s skipped (feature not detected)\n",
                   f.name.c_str());
       continue;
     }
-    std::printf("floor %-24s ratio %6.2fx (floor %.1fx) %s\n", f.name.c_str(),
+    std::printf("floor %-28s ratio %6.2fx (floor %.1fx) %s\n", f.name.c_str(),
                 f.ratio, f.floor, f.pass ? "pass" : "FAIL");
     all_pass = all_pass && f.pass;
   }

@@ -213,18 +213,19 @@ Canonical build_canonical(const CodeTable& table) {
   for (uint8_t l : table.lengths) {
     if (l > 0) ++c.lcount[l];
   }
-  c.sorted.reserve(table.used_symbols());
-  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
-    for (size_t s = 0; s < table.lengths.size(); ++s) {
-      if (table.lengths[s] == l) c.sorted.push_back(static_cast<uint32_t>(s));
-    }
-  }
   uint32_t code = 0, index = 0;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
     code = (code + c.lcount[l - 1]) << 1;
     c.first_code[l] = code;
     c.first_index[l] = index;
     index += c.lcount[l];
+  }
+  // One counting-sort pass: symbols land in (length, symbol) order.
+  c.sorted.resize(index);
+  std::vector<uint32_t> next = c.first_index;
+  for (size_t s = 0; s < table.lengths.size(); ++s) {
+    const uint8_t l = table.lengths[s];
+    if (l > 0) c.sorted[next[l]++] = static_cast<uint32_t>(s);
   }
   return c;
 }
