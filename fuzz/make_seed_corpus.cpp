@@ -5,7 +5,7 @@
 // Entries are deterministic (fixed DRBG seeds, the shared replay key
 // from src/testing/replay.h, no wall clock) so regeneration is a no-op
 // diff unless a wire format actually changed.  Each family directory
-// matches one harness: decode/ huffman/ zlite/ chunked/.  Seeds are
+// matches one harness: decode/ huffman/ zlite/ chunked/ sansio/.  Seeds are
 // deliberately tiny — the point is coverage of every scheme, cipher
 // mode, dtype and container version at minimal replay cost, plus a few
 // malformed variants so the strict-decode error paths are represented.
@@ -233,6 +233,34 @@ void emit_chunked(const fs::path& root) {
   }
 }
 
+/// Sans-io schedules (see replay_sansio for the byte layout): every
+/// direction and container, 1-byte dribbles, zero-size feeds and pulls,
+/// bulk steps, two threads, and mutated inputs in both directions.
+void emit_sansio(const fs::path& root) {
+  const fs::path dir = root / "sansio";
+  struct Seed {
+    const char* name;
+    Bytes bytes;
+  };
+  const Seed seeds[] = {
+      {"encode_v2_dribble.bin", {0x00, 1, 1}},
+      {"encode_v3_zero_and_one.bin", {0x02, 0, 0, 1, 0, 0, 1, 7, 3}},
+      {"encode_v3_two_threads_bulk.bin", {0x22, 0x8C, 0x8F, 1, 0x8A}},
+      {"encode_v1_odd_steps.bin", {0x04, 13, 5, 0x89, 1}},
+      {"encode_v3_truncated_field.bin", {0x12, 0x00, 0x10, 0x00, 64, 64}},
+      {"decode_v2_dribble.bin", {0x01, 1, 1}},
+      {"decode_v3_strict_mixed.bin", {0x03, 1, 1, 0, 0, 100, 2}},
+      {"decode_v3_strict_two_threads.bin", {0x23, 0x8B, 0x8B, 3, 0}},
+      {"decode_v3_salvage_dribble.bin", {0x0B, 1, 1}},
+      {"decode_v3_salvage_bit_flip.bin",
+       {0x1B, 0x40, 0x00, 0x04, 1, 1, 0x8C, 0x8C}},
+      {"decode_v3_strict_truncated.bin", {0x13, 0x00, 0x00, 0x05, 9, 9}},
+      {"decode_v3_strict_bit_flip.bin", {0x13, 0x01, 0x80, 0x02, 0x8F, 0}},
+      {"decode_v1_dribble.bin", {0x05, 1, 1}},
+  };
+  for (const Seed& s : seeds) write_entry(dir, s.name, BytesView(s.bytes));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -245,6 +273,7 @@ int main(int argc, char** argv) {
   emit_huffman(root);
   emit_zlite(root);
   emit_chunked(root);
+  emit_sansio(root);
   std::printf("seed corpus written to %s\n", root.string().c_str());
   return 0;
 }

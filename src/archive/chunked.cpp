@@ -7,29 +7,11 @@
 #include <memory>
 #include <optional>
 
-#include "common/bufpool.h"
+#include "archive/chunk_machine.h"
 #include "common/crc32.h"
 #include "core/codec.h"
-#include "parallel/chunk_scheduler.h"
 
 namespace szsec::archive {
-
-namespace {
-
-using core::codec::CodecRuntime;
-using core::codec::RuntimeCache;
-using parallel::ChunkSchedulerConfig;
-using parallel::ParallelChunkScheduler;
-using parallel::SlabConfig;
-using parallel::SlabPlan;
-
-/// Scratch state owned by one pool worker: key-schedule cache plus
-/// inflate buffers, reused chunk after chunk without cross-worker locks.
-struct WorkerState {
-  explicit WorkerState(BytesView key) : runtimes(key) {}
-  RuntimeCache runtimes;
-  BufferPool scratch;
-};
 
 std::vector<std::unique_ptr<WorkerState>> make_worker_states(
     size_t count, BytesView key) {
@@ -41,14 +23,18 @@ std::vector<std::unique_ptr<WorkerState>> make_worker_states(
   return states;
 }
 
+namespace {
+
+using core::codec::CodecRuntime;
+using core::codec::RuntimeCache;
+using parallel::ChunkSchedulerConfig;
+using parallel::ParallelChunkScheduler;
+
 constexpr uint64_t kMaxExtent = uint64_t{1} << 40;
 constexpr size_t kMarkerSize = sizeof(uint64_t);
-
-template <typename T>
-constexpr sz::DType dtype_of() {
-  return std::is_same_v<T, float> ? sz::DType::kFloat32
-                                  : sz::DType::kFloat64;
-}
+/// The shortest valid prelude: magic, version, rank, one dim, count,
+/// one four-varint entry, CRC.
+constexpr size_t kMinPrelude = 4 + 1 + 1 + 1 + 1 + 4 + 4;
 
 Bytes make_frame(uint64_t chunk_id, uint64_t row_start, uint64_t row_extent,
                  const Bytes& container) {
@@ -61,14 +47,6 @@ Bytes make_frame(uint64_t chunk_id, uint64_t row_start, uint64_t row_extent,
   w.put_u32(crc32(BytesView(container)));
   w.put_bytes(BytesView(container));
   return w.take();
-}
-
-/// The strict/salvage/verify code below predates the public FrameInfo
-/// name; keep the short internal aliases.
-using Frame = FrameInfo;
-
-std::optional<Frame> parse_frame_at(BytesView archive, size_t pos) {
-  return parse_frame(archive, pos);
 }
 
 /// Finds the next resync marker at or after `pos` (byte-wise search).
@@ -102,37 +80,86 @@ Dims dims_from_extents(const size_t* extents, size_t rank) {
   }
 }
 
+/// Why a chunk container with header `h` cannot fill a frame of
+/// `row_extent` rows in a field of `field_dims` (when known) and element
+/// type `dtype` (when known); empty when it can.
+std::string header_mismatch(const core::Header& h, uint64_t row_extent,
+                            const std::optional<Dims>& field_dims,
+                            std::optional<sz::DType> dtype) {
+  if (h.dims[0] != row_extent) return "container rows != frame rows";
+  if (field_dims) {
+    if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
+    for (size_t i = 1; i < h.dims.rank(); ++i) {
+      if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
+    }
+  }
+  if (dtype && h.dtype != *dtype) return "container dtype mismatch";
+  return {};
+}
+
+/// The cached runtime for the scheme and cipher a chunk header claims.
+const CodecRuntime& runtime_for(RuntimeCache& runtimes,
+                                const core::Header& h) {
+  core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
+  spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
+  return runtimes.get(h.params, h.scheme, spec);
+}
+
+/// Marker + varint fields + CRC: the longest possible frame header.
+constexpr size_t kFrameHeadMax = kMarkerSize + 4 * 10 + sizeof(uint32_t);
+
+struct FrameHead {
+  uint64_t chunk_id = 0;
+  uint64_t row_start = 0;
+  uint64_t row_extent = 0;
+  uint64_t container_len = 0;
+  uint32_t crc = 0;
+  size_t head_len = 0;  ///< marker byte 0 .. container byte 0
+};
+
+/// Parses the frame header whose marker starts `v`; nullopt when the
+/// bytes are malformed or implausible.  parse_frame, the strict
+/// decoder's early head check and the salvage scan all read frames
+/// through this one parser.
+std::optional<FrameHead> parse_frame_head(BytesView v) {
+  try {
+    ByteReader r(v);
+    if (r.get_u64() != kResyncMarker) return std::nullopt;
+    FrameHead h;
+    h.chunk_id = r.get_varint();
+    h.row_start = r.get_varint();
+    h.row_extent = r.get_varint();
+    h.container_len = r.get_varint();
+    h.crc = r.get_u32();
+    h.head_len = r.pos();
+    if (h.chunk_id > kMaxExtent || h.row_start > kMaxExtent ||
+        h.row_extent == 0 || h.row_extent > kMaxExtent) {
+      return std::nullopt;
+    }
+    return h;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
 /// Decodes one chunk container through the shared codec path and
 /// validates it against the frame's row claim (and the field's plane
 /// dims when already known).  When `into` is non-empty the chunk is
-/// reconstructed directly into it (the strict decoder passes its slice
-/// of the output field); otherwise `own` is resized and filled.
-/// Returns the failure reason, or empty on success.  When the failure
-/// was cryptographic (MAC mismatch, cipher rejection) `*crypto_failure`
-/// is set, so strict callers can surface a CryptoError instead of a
-/// generic CorruptError — a wrong tenant key and flipped archive bytes
-/// are different operator problems.
+/// reconstructed directly into it; otherwise `own` is resized and
+/// filled.  Returns the failure reason, or empty on success.
 template <typename T>
-std::string try_decode_chunk(const Frame& f, RuntimeCache& runtimes,
+std::string try_decode_chunk(const FrameInfo& f, RuntimeCache& runtimes,
                              BufferPool* pool,
                              const std::optional<Dims>& field_dims,
                              std::span<T> into, std::vector<T>* own,
                              Dims& chunk_dims,
-                             PipelineMetrics* times = nullptr,
-                             bool* crypto_failure = nullptr) {
+                             PipelineMetrics* times = nullptr) {
   try {
     const core::Header h = core::peek_header(f.container);
-    if (h.dims[0] != f.row_extent) return "container rows != frame rows";
-    if (field_dims) {
-      if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
-      for (size_t i = 1; i < h.dims.rank(); ++i) {
-        if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
-      }
-    }
-    if (h.dtype != dtype_of<T>()) return "container dtype mismatch";
-    core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-    spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-    const CodecRuntime& runtime = runtimes.get(h.params, h.scheme, spec);
+    std::string err =
+        header_mismatch(h, f.row_extent, field_dims, dtype_of<T>());
+    if (!err.empty()) return err;
+    const CodecRuntime& runtime = runtime_for(runtimes, h);
     std::span<T> dst = into;
     if (dst.empty()) {
       own->resize(h.dims.count());
@@ -151,318 +178,34 @@ std::string try_decode_chunk(const Frame& f, RuntimeCache& runtimes,
     if (times != nullptr) times->merge(r.times);
     chunk_dims = h.dims;
     return {};
-  } catch (const CryptoError& e) {
-    if (crypto_failure != nullptr) *crypto_failure = true;
-    return e.what();
   } catch (const Error& e) {
     return e.what();
   }
 }
 
-}  // namespace
-
-std::optional<FrameInfo> parse_frame(BytesView archive, size_t pos) {
-  // subspan(pos) with pos past the end is UB, and callers hand us
-  // offsets derived from untrusted index varints — bound it here so
-  // every parse site is safe by construction.
-  if (pos > archive.size()) return std::nullopt;
-  try {
-    ByteReader r(archive.subspan(pos));
-    if (r.get_u64() != kResyncMarker) return std::nullopt;
-    FrameInfo f;
-    f.offset = pos;
-    f.chunk_id = r.get_varint();
-    f.row_start = r.get_varint();
-    f.row_extent = r.get_varint();
-    if (f.chunk_id > kMaxExtent || f.row_start > kMaxExtent ||
-        f.row_extent == 0 || f.row_extent > kMaxExtent) {
-      return std::nullopt;
-    }
-    const uint64_t len = r.get_varint();
-    if (r.remaining() < sizeof(uint32_t) ||
-        len > r.remaining() - sizeof(uint32_t)) {
-      return std::nullopt;
-    }
-    const uint32_t crc = r.get_u32();
-    f.container = r.get_bytes(static_cast<size_t>(len));
-    f.frame_len = r.pos();
-    f.crc_ok = crc32(f.container) == crc;
-    return f;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
-const char* to_string(ChunkStatus s) {
-  switch (s) {
-    case ChunkStatus::kOk:
-      return "ok";
-    case ChunkStatus::kRelocated:
-      return "relocated";
-    case ChunkStatus::kCorrupt:
-      return "corrupt";
-    default:
-      return "missing";
-  }
-}
-
-namespace {
-
-/// The one v3 compressor: pulls raw element bytes from `in` chunk by
-/// chunk (on the calling thread, in index order), encodes chunks on the
-/// pool, stages committed frames in a FrameSpool, then emits prelude +
-/// frames to `out`.  Peak memory is the scheduler window times one
-/// chunk's input + frame — never the whole field or archive.  The
-/// in-memory compress_chunked wrappers call this with a MemorySource/
-/// MemorySink, so "streamed bytes == in-memory bytes" holds by
-/// construction (and is additionally pinned by the proptest oracle).
-template <typename T>
-ChunkedStreamResult compress_stream_impl(ByteSource& in, ByteSink& out,
-                                         const Dims& dims,
-                                         const sz::Params& params,
-                                         core::Scheme scheme, BytesView key,
-                                         const core::CipherSpec& spec,
-                                         const ChunkedConfig& config,
-                                         crypto::CtrDrbg* seed_drbg) {
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  SlabConfig scfg;
-  scfg.threads = config.threads;
-  scfg.slabs = config.chunks;
-  const SlabPlan plan =
-      parallel::plan_slabs(dims, scfg, sched.thread_count());
-
-  // Per-chunk DRBGs are derived serially from the master BEFORE fan-out,
-  // so chunk i's IV depends only on its index and the seed — the archive
-  // bytes are identical for every thread count.
-  crypto::CtrDrbg& master =
-      seed_drbg != nullptr ? *seed_drbg : crypto::global_drbg();
-  std::vector<crypto::CtrDrbg> drbgs;
-  drbgs.reserve(plan.count);
-  for (size_t i = 0; i < plan.count; ++i) {
-    drbgs.emplace_back(BytesView(master.generate(32)));
-  }
-
-  // One runtime (key schedule + MAC key) shared by every chunk; the
-  // codec config is immutable, so workers share it freely.
-  const CodecRuntime runtime(params, scheme, key, spec);
-  const core::codec::CodecConfig cfg = runtime.config();
-
-  // Raw chunk buffers are recycled through a pool: the feed (calling
-  // thread) acquires, the worker releases after encoding, so steady
-  // state allocates nothing per chunk however many chunks stream by.
-  FrameSpool spool(config.spool);
-  BufferPool input_pool;
-
-  struct ChunkInput {
-    Bytes raw;
-  };
-  struct ChunkProduct {
-    Bytes frame;
-    core::CompressStats stats;
-    PipelineMetrics times;
-  };
-
-  ChunkedStreamResult out_r;
-  out_r.chunk_count = plan.count;
-  std::vector<uint64_t> frame_len(plan.count, 0);
-  double weighted_predictable = 0;
-
-  sched.run_ordered_fed<ChunkInput, ChunkProduct>(
-      plan.count,
-      [&](size_t i) {
-        const size_t bytes = plan.extent[i] * plan.plane * sizeof(T);
-        ChunkInput ci{input_pool.acquire(bytes)};
-        ci.raw.resize(bytes);
-        const size_t got = read_full(in, std::span<uint8_t>(ci.raw));
-        if (got != bytes) {
-          throw IoError("input stream ended mid-field (chunk " +
-                        std::to_string(i) + ")");
-        }
-        return ci;
-      },
-      [&](size_t, size_t i, ChunkInput&& ci) {
-        const std::span<const T> slab(
-            reinterpret_cast<const T*>(ci.raw.data()),
-            ci.raw.size() / sizeof(T));
-        core::CompressResult r = core::codec::encode_payload(
-            cfg, slab, parallel::slab_dims(dims, plan.extent[i]),
-            &drbgs[i]);
-        ChunkProduct p{
-            make_frame(i, plan.start[i], plan.extent[i], r.container),
-            r.stats, std::move(r.times)};
-        input_pool.release(std::move(ci.raw));
-        return p;
-      },
-      [&](size_t i, ChunkProduct&& p) {
-        frame_len[i] = p.frame.size();
-        spool.write(BytesView(p.frame));
-        out_r.stats.raw_bytes += p.stats.raw_bytes;
-        out_r.stats.payload_bytes += p.stats.payload_bytes;
-        out_r.stats.tree_bytes += p.stats.tree_bytes;
-        out_r.stats.codeword_bytes += p.stats.codeword_bytes;
-        out_r.stats.unpredictable_bytes += p.stats.unpredictable_bytes;
-        out_r.stats.unpredictable_count += p.stats.unpredictable_count;
-        out_r.stats.element_count += p.stats.element_count;
-        out_r.stats.encrypted_bytes += p.stats.encrypted_bytes;
-        weighted_predictable +=
-            p.stats.predictable_fraction * p.stats.element_count;
-        out_r.times.merge(p.times);
-      });
-
-  out_r.stats.predictable_fraction =
-      out_r.stats.element_count == 0
-          ? 0
-          : weighted_predictable / out_r.stats.element_count;
-
-  ByteWriter w;
-  w.put_u32(kChunkedMagic);
-  w.put_u8(kChunkedVersion);
-  w.put_u8(static_cast<uint8_t>(dims.rank()));
-  for (size_t i = 0; i < dims.rank(); ++i) w.put_varint(dims[i]);
-  w.put_varint(plan.count);
-  uint64_t rel = 0;
-  for (size_t i = 0; i < plan.count; ++i) {
-    w.put_varint(rel);
-    w.put_varint(frame_len[i]);
-    w.put_varint(plan.start[i]);
-    w.put_varint(plan.extent[i]);
-    rel += frame_len[i];
-  }
-  w.put_u32(crc32(BytesView(w.bytes())));
-
-  CountingSink counted(&out);
-  const Bytes prelude = w.take();
-  counted.write(BytesView(prelude));
-  spool.replay(counted);
-  if (config.seek_table) {
-    // Footer offsets are ABSOLUTE (prelude + relative frame offset), so
-    // a seekable reader needs no prelude parse at all; elem ranges are
-    // redundant with rows x plane by construction — the parser
-    // cross-checks them, which is what makes a forged footer detectable.
-    const size_t plane = dims.count() / dims[0];
-    ByteWriter fw;
-    fw.put_u32(kSeekFooterMagic);
-    fw.put_u8(kSeekFooterVersion);
-    fw.put_u8(dtype_of<T>() == sz::DType::kFloat32 ? 0 : 1);
-    fw.put_u8(static_cast<uint8_t>(dims.rank()));
-    for (size_t i = 0; i < dims.rank(); ++i) fw.put_varint(dims[i]);
-    fw.put_varint(plan.count);
-    uint64_t abs = prelude.size();
-    for (size_t i = 0; i < plan.count; ++i) {
-      fw.put_varint(abs);
-      fw.put_varint(frame_len[i]);
-      fw.put_varint(plan.start[i]);
-      fw.put_varint(plan.extent[i]);
-      fw.put_varint(plan.start[i] * plane);
-      fw.put_varint(plan.extent[i] * plane);
-      abs += frame_len[i];
-    }
-    fw.put_u32(crc32(BytesView(fw.bytes())));
-    const size_t footer_len = fw.bytes().size();
-    SZSEC_REQUIRE(footer_len <= std::numeric_limits<uint32_t>::max(),
-                  "seek-table footer too large");
-    fw.put_u32(static_cast<uint32_t>(footer_len));
-    fw.put_u32(kSeekTrailerMagic);
-    const Bytes footer = fw.take();
-    counted.write(BytesView(footer));
-  }
-  out.flush();
-  out_r.archive_bytes = counted.count();
-  out_r.stats.container_bytes = counted.count();
-  return out_r;
-}
-
-template <typename T>
-ChunkedCompressResult compress_chunked_impl(std::span<const T> data,
-                                            const Dims& dims,
-                                            const sz::Params& params,
-                                            core::Scheme scheme,
-                                            BytesView key,
-                                            const core::CipherSpec& spec,
-                                            const ChunkedConfig& config,
-                                            crypto::CtrDrbg* seed_drbg) {
-  SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
-  MemorySource src(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
-                             data.size() * sizeof(T)));
-  MemorySink sink;
-  ChunkedConfig mem_config = config;
-  mem_config.spool = FrameSpool::Backing::kMemory;
-  ChunkedStreamResult r = compress_stream_impl<T>(
-      src, sink, dims, params, scheme, key, spec, mem_config, seed_drbg);
-  ChunkedCompressResult out;
-  out.archive = sink.take();
-  out.chunk_count = r.chunk_count;
-  out.stats = r.stats;
-  out.times = std::move(r.times);
-  return out;
-}
-
-}  // namespace
-
-ChunkedStreamResult compress_chunked_stream(
-    ByteSource& in, ByteSink& out, sz::DType dtype, const Dims& dims,
-    const sz::Params& params, core::Scheme scheme, BytesView key,
-    const core::CipherSpec& spec, const ChunkedConfig& config,
-    crypto::CtrDrbg* seed_drbg) {
-  return dtype == sz::DType::kFloat32
-             ? compress_stream_impl<float>(in, out, dims, params, scheme,
-                                           key, spec, config, seed_drbg)
-             : compress_stream_impl<double>(in, out, dims, params, scheme,
-                                            key, spec, config, seed_drbg);
-}
-
-ChunkedCompressResult compress_chunked(std::span<const float> data,
-                                       const Dims& dims,
-                                       const sz::Params& params,
-                                       core::Scheme scheme, BytesView key,
-                                       const core::CipherSpec& spec,
-                                       const ChunkedConfig& config,
-                                       crypto::CtrDrbg* seed_drbg) {
-  return compress_chunked_impl(data, dims, params, scheme, key, spec,
-                               config, seed_drbg);
-}
-
-ChunkedCompressResult compress_chunked(std::span<const double> data,
-                                       const Dims& dims,
-                                       const sz::Params& params,
-                                       core::Scheme scheme, BytesView key,
-                                       const core::CipherSpec& spec,
-                                       const ChunkedConfig& config,
-                                       crypto::CtrDrbg* seed_drbg) {
-  return compress_chunked_impl(data, dims, params, scheme, key, spec,
-                               config, seed_drbg);
-}
-
-namespace {
-
-/// Adapters giving the prelude parse one shape over two byte origins.
-/// Both expose the ByteReader getters the parse needs, plus
-/// crc_to_here() — the CRC-32 of every byte consumed so far, evaluated
-/// immediately before the declared index CRC is read.
-struct IndexMemReader {
-  explicit IndexMemReader(BytesView a) : r(a), archive(a) {}
-  ByteReader r;
-  BytesView archive;
-  uint8_t get_u8() { return r.get_u8(); }
-  uint32_t get_u32() { return r.get_u32(); }
-  uint64_t get_varint() { return r.get_varint(); }
-  size_t pos() const { return r.pos(); }
-  uint32_t crc_to_here() const { return crc32(archive.subspan(0, r.pos())); }
+/// Thrown by PreludeCursor when the buffered bytes end inside the
+/// prelude; never escapes parse_prelude.
+struct NeedMore {
+  size_t bytes;  ///< lower bound on the missing bytes, at least 1
 };
 
-/// Pulls prelude bytes from a ByteSource one at a time (the prelude is
-/// tiny next to the frames), retaining them so crc_to_here() can verify
-/// the index CRC exactly as the in-memory parser does.  Truncation is
-/// CorruptError, matching ByteReader.
-class IndexStreamReader {
+/// Reads a v3 prelude from a possibly partial prefix.  Running out of
+/// bytes throws NeedMore with a lower bound on what is missing: never
+/// more than the rest of a valid prelude, so a caller that asks for
+/// exactly that many bytes never reads into the frames.
+class PreludeCursor {
  public:
-  explicit IndexStreamReader(ByteSource& src) : src_(src) {}
+  explicit PreludeCursor(BytesView bytes) : b_(bytes) {}
 
-  uint8_t get_u8() { return next(); }
+  uint8_t get_u8() {
+    need(1);
+    return b_[pos_++];
+  }
   uint32_t get_u32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t{next()} << (8 * i);
+    need(sizeof(uint32_t));
+    uint32_t v;
+    std::memcpy(&v, b_.data() + pos_, sizeof(v));
+    pos_ += sizeof(v);
     return v;
   }
   uint64_t get_varint() {
@@ -470,37 +213,37 @@ class IndexStreamReader {
     int shift = 0;
     while (true) {
       SZSEC_CHECK_FORMAT(shift < 64, "varint too long");
-      const uint8_t b = next();
+      need(1);
+      const uint8_t b = b_[pos_++];
       SZSEC_CHECK_FORMAT(shift < 63 || (b & 0xFE) == 0,
                          "varint overflows 64 bits");
       v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) break;
+      if ((b & 0x80) == 0) return v;
       shift += 7;
     }
-    return v;
   }
-  size_t pos() const { return buf_.size(); }
-  uint32_t crc_to_here() const { return crc32(BytesView(buf_)); }
+  size_t pos() const { return pos_; }
+  uint32_t crc_to_here() const { return crc32(b_.subspan(0, pos_)); }
+  /// Records that the prelude is at least `total` bytes long.
+  void at_least(uint64_t total) { floor_ = total; }
 
  private:
-  uint8_t next() {
-    uint8_t b;
-    SZSEC_CHECK_FORMAT(read_full(src_, std::span<uint8_t>(&b, 1)) == 1,
-                       "truncated archive prelude");
-    buf_.push_back(b);
-    return b;
+  void need(size_t n) {
+    const size_t left = b_.size() - pos_;
+    if (left >= n) return;
+    const uint64_t to_floor = floor_ > b_.size() ? floor_ - b_.size() : 0;
+    throw NeedMore{static_cast<size_t>(std::min<uint64_t>(
+        std::max<uint64_t>(n - left, to_floor), kMaxWantSpan))};
   }
 
-  ByteSource& src_;
-  Bytes buf_;
+  BytesView b_;
+  size_t pos_ = 0;
+  uint64_t floor_ = kMinPrelude;
 };
 
-/// The one v3 prelude parser, shared by the in-memory and streaming
-/// decoders (Reader = IndexMemReader | IndexStreamReader).  Entry
-/// offsets stay RELATIVE to body_start here; read_chunk_index
-/// absolutizes them for its callers.
-template <typename Reader>
-ChunkIndex parse_chunk_index(Reader& r) {
+/// The one v3 prelude parser.  Entry offsets stay RELATIVE to
+/// body_start here; parse_prelude absolutizes them.
+ChunkIndex parse_chunk_index(PreludeCursor& r) {
   SZSEC_CHECK_FORMAT(r.get_u32() == kChunkedMagic, "bad archive magic");
   SZSEC_CHECK_FORMAT(r.get_u8() == kChunkedVersion,
                      "unsupported archive version");
@@ -521,6 +264,8 @@ ChunkIndex parse_chunk_index(Reader& r) {
   uint64_t expect_rel = 0;
   uint64_t expect_row = 0;
   for (uint64_t i = 0; i < count; ++i) {
+    // Every entry left is at least four one-byte varints, then the CRC.
+    r.at_least(r.pos() + 4 * (count - i) + sizeof(uint32_t));
     ChunkEntry e;
     e.offset = r.get_varint();  // relative until body_start is known
     e.frame_len = r.get_varint();
@@ -550,11 +295,63 @@ ChunkIndex parse_chunk_index(Reader& r) {
 
 }  // namespace
 
+BytesView element_bytes(const core::DecompressResult& r) {
+  return r.dtype == sz::DType::kFloat32
+             ? BytesView(reinterpret_cast<const uint8_t*>(r.f32.data()),
+                         r.f32.size() * sizeof(float))
+             : BytesView(reinterpret_cast<const uint8_t*>(r.f64.data()),
+                         r.f64.size() * sizeof(double));
+}
+
+std::optional<ChunkIndex> parse_prelude(BytesView prefix, size_t* need) {
+  PreludeCursor r(prefix);
+  try {
+    ChunkIndex out = parse_chunk_index(r);
+    for (ChunkEntry& e : out.entries) e.offset += out.body_start;
+    return out;
+  } catch (const NeedMore& m) {
+    *need = m.bytes;
+    return std::nullopt;
+  }
+}
+
+std::optional<FrameInfo> parse_frame(BytesView archive, size_t pos) {
+  // subspan(pos) with pos past the end is UB, and callers hand us
+  // offsets derived from untrusted index varints — bound it here so
+  // every parse site is safe by construction.
+  if (pos > archive.size()) return std::nullopt;
+  const BytesView at = archive.subspan(pos);
+  const std::optional<FrameHead> h = parse_frame_head(at);
+  if (!h || h->container_len > at.size() - h->head_len) return std::nullopt;
+  FrameInfo f;
+  f.chunk_id = h->chunk_id;
+  f.row_start = h->row_start;
+  f.row_extent = h->row_extent;
+  f.offset = pos;
+  f.container = at.subspan(h->head_len, static_cast<size_t>(h->container_len));
+  f.frame_len = h->head_len + f.container.size();
+  f.crc_ok = crc32(f.container) == h->crc;
+  return f;
+}
+
+const char* to_string(ChunkStatus s) {
+  switch (s) {
+    case ChunkStatus::kOk:
+      return "ok";
+    case ChunkStatus::kRelocated:
+      return "relocated";
+    case ChunkStatus::kCorrupt:
+      return "corrupt";
+    default:
+      return "missing";
+  }
+}
+
 ChunkIndex read_chunk_index(BytesView archive) {
-  IndexMemReader r(archive);
-  ChunkIndex out = parse_chunk_index(r);
-  for (ChunkEntry& e : out.entries) e.offset += out.body_start;
-  return out;
+  size_t need = 0;
+  std::optional<ChunkIndex> index = parse_prelude(archive, &need);
+  SZSEC_CHECK_FORMAT(index.has_value(), "truncated archive prelude");
+  return std::move(*index);
 }
 
 Dims chunked_dims(BytesView archive) {
@@ -734,212 +531,506 @@ std::string decode_chunk_frame(const FrameInfo& frame,
                                   nullptr, chunk_dims, times);
 }
 
+// ---------------------------------------------------------------------
+// Drivers
+
+size_t ChunkMachine::feed(BytesView in) {
+  size_t taken = 0;
+  while (true) {
+    drain();
+    if (taken == in.size()) return taken;
+    const std::span<uint8_t> span = want();
+    if (span.empty()) return taken;
+    const size_t n = std::min(span.size(), in.size() - taken);
+    std::memcpy(span.data(), in.data() + taken, n);
+    filled(n);
+    taken += n;
+  }
+}
+
+void drive(ChunkMachine& m, ByteSource& in) {
+  while (true) {
+    m.drain();
+    const std::span<uint8_t> span = m.want();
+    if (span.empty()) break;
+    const size_t n = read_full(in, span);
+    m.filled(n);
+    if (n < span.size()) {
+      m.finish();
+      m.drain();
+      break;
+    }
+  }
+  if (!m.done()) throw Error("chunk machine stalled before its output");
+}
+
+// ---------------------------------------------------------------------
+// Encoder
+
+ChunkedEncoder::ChunkedEncoder(ByteSink& out, sz::DType dtype,
+                               const Dims& dims, const sz::Params& params,
+                               core::Scheme scheme, BytesView key,
+                               const core::CipherSpec& spec,
+                               const ChunkedConfig& config,
+                               crypto::CtrDrbg* seed_drbg)
+    : out_(&out),
+      dtype_(dtype),
+      dims_(dims),
+      seek_table_(config.seek_table),
+      runtime_(params, scheme, key, spec),
+      spool_(config.spool),
+      sched_(ChunkSchedulerConfig{config.threads, config.max_in_flight},
+             [this](size_t i, Product&& p) { commit(i, std::move(p)); }) {
+  parallel::SlabConfig scfg;
+  scfg.threads = config.threads;
+  scfg.slabs = config.chunks;
+  plan_ = parallel::plan_slabs(dims, scfg, sched_.thread_count());
+  // Per-chunk DRBGs are derived serially from the master BEFORE fan-out,
+  // so chunk i's IV depends only on its index and the seed — the archive
+  // bytes are identical for every thread count.
+  crypto::CtrDrbg& master =
+      seed_drbg != nullptr ? *seed_drbg : crypto::global_drbg();
+  drbgs_.reserve(plan_.count);
+  for (size_t i = 0; i < plan_.count; ++i) {
+    drbgs_.emplace_back(BytesView(master.generate(32)));
+  }
+  frame_len_.assign(plan_.count, 0);
+  result_.chunk_count = plan_.count;
+}
+
+bool ChunkedEncoder::input_complete() const {
+  return next_ == plan_.count ||
+         (next_ + 1 == plan_.count && !raw_.empty() && got_ == raw_.size());
+}
+
+std::span<uint8_t> ChunkedEncoder::want() {
+  if (stage_ != Stage::kInput) return {};
+  if (raw_.empty()) {
+    // Raw chunk buffers are recycled: the worker releases each one after
+    // encoding, so steady state allocates nothing per chunk.
+    const size_t bytes =
+        plan_.extent[next_] * plan_.plane * sz::dtype_size(dtype_);
+    raw_ = input_pool_.acquire(bytes);
+    raw_.resize(bytes);
+    got_ = 0;
+  }
+  return std::span<uint8_t>(raw_).subspan(got_);
+}
+
+bool ChunkedEncoder::step() {
+  switch (stage_) {
+    case Stage::kInput: {
+      if (raw_.empty() || got_ < raw_.size()) return false;
+      const size_t i = next_++;
+      if (next_ == plan_.count) stage_ = Stage::kCommit;
+      sched_.submit([this, i, raw = std::move(raw_)](size_t,
+                                                      size_t) mutable {
+        const Dims slab = parallel::slab_dims(dims_, plan_.extent[i]);
+        core::CompressResult r =
+            dtype_ == sz::DType::kFloat32
+                ? core::codec::encode_payload(
+                      runtime_.config(),
+                      std::span<const float>(
+                          reinterpret_cast<const float*>(raw.data()),
+                          raw.size() / sizeof(float)),
+                      slab, &drbgs_[i])
+                : core::codec::encode_payload(
+                      runtime_.config(),
+                      std::span<const double>(
+                          reinterpret_cast<const double*>(raw.data()),
+                          raw.size() / sizeof(double)),
+                      slab, &drbgs_[i]);
+        input_pool_.release(std::move(raw));
+        return Product{make_frame(i, plan_.start[i], plan_.extent[i],
+                                  r.container),
+                       r.stats, std::move(r.times)};
+      });
+      raw_ = Bytes();
+      got_ = 0;
+      return true;
+    }
+    case Stage::kCommit:
+      if (!sched_.commit_next()) seal();
+      return true;
+    case Stage::kFrames:
+      if (!spool_.replay_block(out_)) {
+        if (seek_table_) out_.write(BytesView(footer_));
+        out_.flush();
+        result_.archive_bytes = out_.count();
+        result_.stats.container_bytes = out_.count();
+        stage_ = Stage::kDone;
+      }
+      return true;
+    case Stage::kDone:
+      return false;
+  }
+  return false;
+}
+
+void ChunkedEncoder::finish() {
+  if (!input_complete()) {
+    throw IoError("input stream ended mid-field (chunk " +
+                  std::to_string(next_) + ")");
+  }
+}
+
+void ChunkedEncoder::commit(size_t i, Product&& p) {
+  frame_len_[i] = p.frame.size();
+  spool_.write(BytesView(p.frame));
+  core::CompressStats& s = result_.stats;
+  s.raw_bytes += p.stats.raw_bytes;
+  s.payload_bytes += p.stats.payload_bytes;
+  s.tree_bytes += p.stats.tree_bytes;
+  s.codeword_bytes += p.stats.codeword_bytes;
+  s.unpredictable_bytes += p.stats.unpredictable_bytes;
+  s.unpredictable_count += p.stats.unpredictable_count;
+  s.element_count += p.stats.element_count;
+  s.encrypted_bytes += p.stats.encrypted_bytes;
+  weighted_predictable_ +=
+      p.stats.predictable_fraction * p.stats.element_count;
+  result_.times.merge(p.times);
+}
+
+void ChunkedEncoder::seal() {
+  result_.stats.predictable_fraction =
+      result_.stats.element_count == 0
+          ? 0
+          : weighted_predictable_ / result_.stats.element_count;
+  ByteWriter w;
+  w.put_u32(kChunkedMagic);
+  w.put_u8(kChunkedVersion);
+  w.put_u8(static_cast<uint8_t>(dims_.rank()));
+  for (size_t i = 0; i < dims_.rank(); ++i) w.put_varint(dims_[i]);
+  w.put_varint(plan_.count);
+  uint64_t rel = 0;
+  for (size_t i = 0; i < plan_.count; ++i) {
+    w.put_varint(rel);
+    w.put_varint(frame_len_[i]);
+    w.put_varint(plan_.start[i]);
+    w.put_varint(plan_.extent[i]);
+    rel += frame_len_[i];
+  }
+  w.put_u32(crc32(BytesView(w.bytes())));
+  const Bytes prelude = w.take();
+  if (seek_table_) {
+    // Footer offsets are ABSOLUTE (prelude + relative frame offset), so
+    // a seekable reader needs no prelude parse at all; elem ranges are
+    // redundant with rows x plane by construction — the parser
+    // cross-checks them, which is what makes a forged footer detectable.
+    ByteWriter fw;
+    fw.put_u32(kSeekFooterMagic);
+    fw.put_u8(kSeekFooterVersion);
+    fw.put_u8(dtype_ == sz::DType::kFloat32 ? 0 : 1);
+    fw.put_u8(static_cast<uint8_t>(dims_.rank()));
+    for (size_t i = 0; i < dims_.rank(); ++i) fw.put_varint(dims_[i]);
+    fw.put_varint(plan_.count);
+    uint64_t abs = prelude.size();
+    for (size_t i = 0; i < plan_.count; ++i) {
+      fw.put_varint(abs);
+      fw.put_varint(frame_len_[i]);
+      fw.put_varint(plan_.start[i]);
+      fw.put_varint(plan_.extent[i]);
+      fw.put_varint(plan_.start[i] * plan_.plane);
+      fw.put_varint(plan_.extent[i] * plan_.plane);
+      abs += frame_len_[i];
+    }
+    fw.put_u32(crc32(BytesView(fw.bytes())));
+    const size_t footer_len = fw.bytes().size();
+    SZSEC_REQUIRE(footer_len <= std::numeric_limits<uint32_t>::max(),
+                  "seek-table footer too large");
+    fw.put_u32(static_cast<uint32_t>(footer_len));
+    fw.put_u32(kSeekTrailerMagic);
+    footer_ = fw.take();
+  }
+  out_.write(BytesView(prelude));
+  stage_ = Stage::kFrames;
+}
+
+ChunkedStreamResult compress_chunked_stream(
+    ByteSource& in, ByteSink& out, sz::DType dtype, const Dims& dims,
+    const sz::Params& params, core::Scheme scheme, BytesView key,
+    const core::CipherSpec& spec, const ChunkedConfig& config,
+    crypto::CtrDrbg* seed_drbg) {
+  ChunkedEncoder m(out, dtype, dims, params, scheme, key, spec, config,
+                   seed_drbg);
+  drive(m, in);
+  return m.result();
+}
+
 namespace {
 
 template <typename T>
-std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
-                                       const ChunkedConfig& config) {
-  const ChunkIndex index = read_chunk_index(archive);
-  const size_t plane = index.dims.count() / index.dims[0];
-  std::vector<T> out(index.dims.count());
-
-  // Validate every frame before spending any decode time.
-  std::vector<Frame> frames;
-  for (size_t i = 0; i < index.entries.size(); ++i) {
-    const ChunkEntry& e = index.entries[i];
-    // Subtractive: both fields are untrusted varints, the naive sum can
-    // wrap uint64_t back under archive.size() (see verify_v3_chunk).
-    SZSEC_CHECK_FORMAT(e.offset <= archive.size() &&
-                           e.frame_len <= archive.size() - e.offset,
-                       "frame extends past archive end");
-    const std::optional<Frame> f = parse_frame_at(archive, e.offset);
-    SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
-    SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
-                           f->row_extent == e.row_extent &&
-                           f->frame_len == e.frame_len,
-                       "frame disagrees with index");
-    SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
-    frames.push_back(*f);
-  }
-
-  // Per-worker runtime caches + scratch pools: key schedules are built
-  // at most once per worker, each chunk reconstructs straight into its
-  // slice of `out` (slices are disjoint, so workers never contend), and
-  // per-chunk metrics are merged in index order on this thread.
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  const auto workers = make_worker_states(sched.thread_count(), key);
-  struct ChunkDecode {
-    std::string error;
-    bool crypto = false;
-    PipelineMetrics times;
-  };
-  sched.run_ordered<ChunkDecode>(
-      frames.size(),
-      [&](size_t worker, size_t i) {
-        const std::span<T> slice =
-            std::span<T>(out).subspan(frames[i].row_start * plane,
-                                      frames[i].row_extent * plane);
-        Dims chunk_dims;
-        ChunkDecode d;
-        d.error = try_decode_chunk<T>(
-            frames[i], workers[worker]->runtimes,
-            &workers[worker]->scratch, index.dims, slice, nullptr,
-            chunk_dims, &d.times, &d.crypto);
-        return d;
-      },
-      [&](size_t i, ChunkDecode&& d) {
-        if (!d.error.empty()) {
-          const std::string msg =
-              "chunk " + std::to_string(i) + ": " + d.error;
-          if (d.crypto) throw CryptoError(msg);
-          throw CorruptError(msg);
-        }
-        if (config.metrics != nullptr) config.metrics->merge(d.times);
-      });
+ChunkedCompressResult compress_in_memory(std::span<const T> data,
+                                         const Dims& dims,
+                                         const sz::Params& params,
+                                         core::Scheme scheme, BytesView key,
+                                         const core::CipherSpec& spec,
+                                         ChunkedConfig config,
+                                         crypto::CtrDrbg* seed_drbg) {
+  SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
+  MemorySink sink;
+  config.spool = FrameSpool::Backing::kMemory;
+  ChunkedEncoder m(sink, dtype_of<T>(), dims, params, scheme, key, spec,
+                   config, seed_drbg);
+  m.feed(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
+                   data.size() * sizeof(T)));
+  m.finish();
+  m.drain();
+  ChunkedCompressResult out;
+  out.archive = sink.take();
+  out.chunk_count = m.result().chunk_count;
+  out.stats = m.result().stats;
+  out.times = m.result().times;
   return out;
+}
+
+}  // namespace
+
+ChunkedCompressResult compress_chunked(std::span<const float> data,
+                                       const Dims& dims,
+                                       const sz::Params& params,
+                                       core::Scheme scheme, BytesView key,
+                                       const core::CipherSpec& spec,
+                                       const ChunkedConfig& config,
+                                       crypto::CtrDrbg* seed_drbg) {
+  return compress_in_memory(data, dims, params, scheme, key, spec, config,
+                            seed_drbg);
+}
+
+ChunkedCompressResult compress_chunked(std::span<const double> data,
+                                       const Dims& dims,
+                                       const sz::Params& params,
+                                       core::Scheme scheme, BytesView key,
+                                       const core::CipherSpec& spec,
+                                       const ChunkedConfig& config,
+                                       crypto::CtrDrbg* seed_drbg) {
+  return compress_in_memory(data, dims, params, scheme, key, spec, config,
+                            seed_drbg);
+}
+
+// ---------------------------------------------------------------------
+// Strict decoder
+
+ChunkedDecoder::ChunkedDecoder(ByteSink& out, BytesView key,
+                               const ChunkedConfig& config,
+                               std::optional<sz::DType> expect)
+    : out_(out),
+      expect_(expect),
+      metrics_(config.metrics),
+      prelude_need_(kMinPrelude),
+      sched_(ChunkSchedulerConfig{config.threads, config.max_in_flight},
+             [this](size_t i, Decoded&& d) { commit(i, std::move(d)); }) {
+  workers_ = make_worker_states(sched_.thread_count(), key);
+}
+
+bool ChunkedDecoder::frames_in() const {
+  const size_t n = index_->entries.size();
+  return next_ == n ||
+         (next_ + 1 == n && frame_got_ == index_->entries[next_].frame_len);
+}
+
+std::span<uint8_t> ChunkedDecoder::want() {
+  if (!index_) {
+    // The prelude arrives in exactly the bytes the parser proved it is
+    // missing, so no frame byte is ever read into this buffer.
+    if (prelude_got_ == prelude_.size()) {
+      prelude_.resize(prelude_got_ + prelude_need_);
+    }
+    return std::span<uint8_t>(prelude_).subspan(prelude_got_);
+  }
+  if (next_ == index_->entries.size()) return {};
+  if (frame_got_ == frame_.size()) {
+    // frame_len is an untrusted varint with no total size to bound it
+    // against: the frame head comes alone first and must agree with the
+    // index before any container byte is read, and the buffer then
+    // grows by bounded blocks as bytes actually arrive — never by the
+    // claimed length up front.
+    const uint64_t len = index_->entries[next_].frame_len;
+    const uint64_t step =
+        frame_got_ == 0 ? std::min<uint64_t>(len, kFrameHeadMax)
+                        : std::min<uint64_t>(len - frame_got_, kMaxWantSpan);
+    if (frame_got_ == 0) {
+      frame_ = frame_pool_.acquire(
+          static_cast<size_t>(std::min<uint64_t>(len, kMaxWantSpan)));
+    }
+    frame_.resize(frame_got_ + static_cast<size_t>(step));
+  }
+  return std::span<uint8_t>(frame_).subspan(frame_got_);
+}
+
+void ChunkedDecoder::filled(size_t n) {
+  if (index_) {
+    const ChunkEntry& e = index_->entries[next_];
+    const uint64_t head = std::min<uint64_t>(e.frame_len, kFrameHeadMax);
+    const bool head_done = frame_got_ < head && frame_got_ + n >= head;
+    frame_got_ += n;
+    if (!head_done) return;
+    const std::optional<FrameHead> fh =
+        parse_frame_head(BytesView(frame_.data(), frame_got_));
+    SZSEC_CHECK_FORMAT(fh.has_value(), "unparseable chunk frame");
+    SZSEC_CHECK_FORMAT(fh->chunk_id == next_ &&
+                           fh->row_start == e.row_start &&
+                           fh->row_extent == e.row_extent &&
+                           fh->head_len <= e.frame_len &&
+                           fh->container_len == e.frame_len - fh->head_len,
+                       "frame disagrees with index");
+    return;
+  }
+  prelude_got_ += n;
+  if (prelude_got_ < prelude_.size()) return;
+  index_ = parse_prelude(BytesView(prelude_.data(), prelude_got_),
+                         &prelude_need_);
+  if (!index_) return;
+  result_.dims = index_->dims;
+  result_.chunk_count = index_->entries.size();
+  prelude_ = Bytes();
+}
+
+bool ChunkedDecoder::step() {
+  if (!index_ || done_) return false;
+  if (next_ < index_->entries.size()) {
+    if (frame_got_ < index_->entries[next_].frame_len) return false;
+    submit_frame();
+    return true;
+  }
+  if (sched_.commit_next()) return true;
+  out_.flush();
+  done_ = true;
+  return true;
+}
+
+void ChunkedDecoder::finish() {
+  SZSEC_CHECK_FORMAT(index_.has_value(), "truncated archive prelude");
+  SZSEC_CHECK_FORMAT(frames_in(), "frame extends past archive end");
+}
+
+void ChunkedDecoder::submit_frame() {
+  ++next_;
+  sched_.submit([this, frame = std::move(frame_)](size_t worker,
+                                                   size_t) mutable {
+    // The head already agreed with the index (filled()); what is left to
+    // check is the container's CRC.
+    const std::optional<FrameInfo> f = parse_frame(BytesView(frame), 0);
+    SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
+    SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
+    // Decode failures are error *values*; the commit turns them into
+    // "chunk i: reason" in index order.
+    Decoded d;
+    try {
+      const core::Header h = core::peek_header(f->container);
+      d.error = header_mismatch(h, f->row_extent, index_->dims, expect_);
+      if (d.error.empty()) {
+        WorkerState& w = *workers_[worker];
+        core::codec::DecodeOptions opts;
+        opts.pool = &w.scratch;
+        d.r = core::codec::decode_payload(
+            runtime_for(w.runtimes, h).config(), f->container, opts);
+      }
+    } catch (const CryptoError& ex) {
+      d.crypto = true;
+      d.error = ex.what();
+    } catch (const Error& ex) {
+      d.error = ex.what();
+    }
+    frame_pool_.release(std::move(frame));
+    return d;
+  });
+  frame_ = Bytes();
+  frame_got_ = 0;
+}
+
+void ChunkedDecoder::commit(size_t i, Decoded&& d) {
+  if (!d.error.empty()) {
+    const std::string msg = "chunk " + std::to_string(i) + ": " + d.error;
+    if (d.crypto) throw CryptoError(msg);
+    throw CorruptError(msg);
+  }
+  if (i == 0) {
+    result_.dtype = d.r.dtype;
+  } else if (d.r.dtype != result_.dtype) {
+    throw CorruptError("chunk " + std::to_string(i) +
+                       ": container dtype mismatch");
+  }
+  const BytesView bytes = element_bytes(d.r);
+  out_.write(bytes);
+  result_.elements += bytes.size() / sz::dtype_size(d.r.dtype);
+  result_.element_bytes += bytes.size();
+  if (metrics_ != nullptr) metrics_->merge(d.r.times);
+}
+
+ChunkedStreamDecodeResult decompress_chunked_stream(
+    ByteSource& in, ByteSink& out, BytesView key,
+    const ChunkedConfig& config) {
+  ChunkedDecoder m(out, key, config);
+  drive(m, in);
+  return m.result();
+}
+
+namespace {
+
+/// Appends decoded element bytes straight onto a typed field.
+template <typename T>
+class FieldSink final : public ByteSink {
+ public:
+  void write(BytesView data) override {
+    const size_t old = field.size();
+    field.resize(old + data.size() / sizeof(T));
+    std::memcpy(field.data() + old, data.data(), data.size());
+  }
+  std::vector<T> field;
+};
+
+template <typename T>
+std::vector<T> decode_field(BytesView archive, BytesView key,
+                            const ChunkedConfig& config) {
+  FieldSink<T> sink;
+  ChunkedDecoder m(sink, key, config, dtype_of<T>());
+  m.feed(archive);
+  m.finish();
+  m.drain();
+  return std::move(sink.field);
 }
 
 }  // namespace
 
 std::vector<float> decompress_chunked_f32(BytesView archive, BytesView key,
                                           const ChunkedConfig& config) {
-  return decompress_chunked_impl<float>(archive, key, config);
+  return decode_field<float>(archive, key, config);
 }
 
 std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
                                            const ChunkedConfig& config) {
-  return decompress_chunked_impl<double>(archive, key, config);
+  return decode_field<double>(archive, key, config);
 }
 
-ChunkedStreamDecodeResult decompress_chunked_stream(
-    ByteSource& in, ByteSink& out, BytesView key,
-    const ChunkedConfig& config) {
-  // Prelude first (byte-at-a-time, tolerant of any short-read schedule);
-  // frames then arrive densely in index order, so the feed can cut the
-  // stream into frames from the index's lengths alone.
-  IndexStreamReader reader(in);
-  const ChunkIndex index = parse_chunk_index(reader);
-
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  const auto workers = make_worker_states(sched.thread_count(), key);
-  BufferPool frame_pool;
-
-  ChunkedStreamDecodeResult res;
-  res.dims = index.dims;
-  bool dtype_set = false;
-
-  struct FrameInput {
-    Bytes frame;
-  };
-  struct ChunkDecode {
-    std::string error;  ///< decode failure; framing errors throw instead
-    bool crypto = false;  ///< failure was a MAC/cipher rejection
-    core::DecompressResult r;
-  };
-
-  sched.run_ordered_fed<FrameInput, ChunkDecode>(
-      index.entries.size(),
-      [&](size_t i) {
-        const ChunkEntry& e = index.entries[i];
-        // frame_len is an untrusted varint (only > 0 at index parse) and
-        // the stream has no known total size to bound it against: never
-        // allocate it upfront — a forged index naming ~2^64 would turn
-        // vector::resize into an untyped std::length_error/bad_alloc.
-        // Read in bounded blocks instead; a stream that ends first
-        // surfaces the same typed error having allocated no more than
-        // the bytes actually present plus one block.
-        constexpr uint64_t kFrameReadBlock = uint64_t{4} << 20;
-        FrameInput fi{frame_pool.acquire(static_cast<size_t>(
-            std::min<uint64_t>(e.frame_len, kFrameReadBlock)))};
-        uint64_t got = 0;
-        while (got < e.frame_len) {
-          const size_t step = static_cast<size_t>(
-              std::min<uint64_t>(e.frame_len - got, kFrameReadBlock));
-          fi.frame.resize(static_cast<size_t>(got) + step);
-          SZSEC_CHECK_FORMAT(
-              read_full(in, std::span<uint8_t>(fi.frame)
-                                .subspan(static_cast<size_t>(got))) == step,
-              "frame extends past archive end");
-          got += step;
-        }
-        return fi;
-      },
-      [&](size_t worker, size_t i, FrameInput&& fi) {
-        const ChunkEntry& e = index.entries[i];
-        const std::optional<Frame> f =
-            parse_frame_at(BytesView(fi.frame), 0);
-        SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
-        SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
-                               f->row_extent == e.row_extent &&
-                               f->frame_len == e.frame_len,
-                           "frame disagrees with index");
-        SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
-        // Decode failures are error *values* (the commit turns them into
-        // "chunk i: reason"), matching the in-memory strict decoder.
-        ChunkDecode d;
-        try {
-          const core::Header h = core::peek_header(f->container);
-          if (h.dims[0] != f->row_extent) {
-            d.error = "container rows != frame rows";
-          } else if (h.dims.rank() != index.dims.rank()) {
-            d.error = "rank mismatch";
-          } else {
-            for (size_t k = 1; k < h.dims.rank(); ++k) {
-              if (h.dims[k] != index.dims[k]) d.error = "plane dims mismatch";
-            }
-          }
-          if (d.error.empty()) {
-            core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-            spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-            const CodecRuntime& runtime =
-                workers[worker]->runtimes.get(h.params, h.scheme, spec);
-            core::codec::DecodeOptions opts;
-            opts.pool = &workers[worker]->scratch;
-            d.r = core::codec::decode_payload(runtime.config(),
-                                              f->container, opts);
-          }
-        } catch (const CryptoError& ex) {
-          d.crypto = true;
-          d.error = ex.what();
-        } catch (const Error& ex) {
-          d.error = ex.what();
-        }
-        frame_pool.release(std::move(fi.frame));
-        return d;
-      },
-      [&](size_t i, ChunkDecode&& d) {
-        if (!d.error.empty()) {
-          const std::string msg =
-              "chunk " + std::to_string(i) + ": " + d.error;
-          if (d.crypto) throw CryptoError(msg);
-          throw CorruptError(msg);
-        }
-        if (!dtype_set) {
-          res.dtype = d.r.dtype;
-          dtype_set = true;
-        } else if (d.r.dtype != res.dtype) {
-          throw CorruptError("chunk " + std::to_string(i) +
-                             ": container dtype mismatch");
-        }
-        const BytesView bytes =
-            d.r.dtype == sz::DType::kFloat32
-                ? BytesView(reinterpret_cast<const uint8_t*>(d.r.f32.data()),
-                            d.r.f32.size() * sizeof(float))
-                : BytesView(reinterpret_cast<const uint8_t*>(d.r.f64.data()),
-                            d.r.f64.size() * sizeof(double));
-        out.write(bytes);
-        res.elements += d.r.dtype == sz::DType::kFloat32 ? d.r.f32.size()
-                                                         : d.r.f64.size();
-        res.element_bytes += bytes.size();
-        if (config.metrics != nullptr) config.metrics->merge(d.r.times);
-      });
-  out.flush();
-  return res;
-}
+// ---------------------------------------------------------------------
+// In-memory salvage
 
 namespace {
+
+/// The report of a salvage without an index: every recovered chunk was
+/// relocated, and each row gap before one is reported as a missing
+/// chunk.  `placed` maps chunk id to a value whose get(value) has
+/// row_start, row_extent and frame_len.
+template <typename Map, typename Get>
+void report_scan_only(const Map& placed, Get get, SalvageReport& rep) {
+  uint64_t next_gap_id = 0;
+  uint64_t row = 0;
+  for (const auto& [id, value] : placed) {
+    const auto& p = get(value);
+    if (p.row_start > row) {
+      rep.chunks.push_back(ChunkReport{next_gap_id, ChunkStatus::kMissing,
+                                       row, p.row_start - row, 0,
+                                       "no frame found for these rows"});
+    }
+    rep.chunks.push_back(ChunkReport{id, ChunkStatus::kRelocated,
+                                     p.row_start, p.row_extent,
+                                     p.frame_len, {}});
+    next_gap_id = id + 1;
+    row = p.row_start + p.row_extent;
+  }
+  rep.chunks_expected = rep.chunks.size();
+}
 
 template <typename T>
 std::vector<T>& salvage_field(SalvageResult& out) {
@@ -978,7 +1069,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // full resync scan then rescues chunks whose offsets no longer hold
   // (insertion, deletion, reordering) or, without an index, finds
   // everything we will ever know about.
-  std::map<uint64_t, Frame> found;          // id -> CRC-valid frame
+  std::map<uint64_t, FrameInfo> found;      // id -> CRC-valid frame
   std::map<uint64_t, bool> relocated;       // id -> found via scan
   std::map<uint64_t, std::string> failure;  // id -> latest reason
   std::map<uint64_t, uint64_t> located_bad; // id -> damaged frame's length
@@ -991,7 +1082,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         failure[i] = "frame offset past the frame region (truncated?)";
         continue;
       }
-      const std::optional<Frame> f = parse_frame_at(archive, e.offset);
+      const std::optional<FrameInfo> f = parse_frame(archive, e.offset);
       if (!f) {
         failure[i] = "no valid frame at indexed offset";
         located_bad[i] = e.frame_len;
@@ -1022,7 +1113,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   if (need_scan) {
     for (size_t pos = find_marker(archive, 0); pos < archive.size();
          pos = find_marker(archive, pos)) {
-      const std::optional<Frame> f = parse_frame_at(archive, pos);
+      const std::optional<FrameInfo> f = parse_frame(archive, pos);
       if (!f || !f->crc_ok) {
         ++pos;  // false positive or damaged frame: keep scanning
         continue;
@@ -1062,7 +1153,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // exception, so one bad worker result cannot abort the salvage.
   // Commits arrive in chunk-id order, keeping the report and the
   // first-come row-claiming below deterministic.
-  std::vector<std::pair<uint64_t, const Frame*>> jobs;
+  std::vector<std::pair<uint64_t, const FrameInfo*>> jobs;
   jobs.reserve(found.size());
   for (auto& [id, f] : found) jobs.emplace_back(id, &f);
 
@@ -1071,8 +1162,6 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
     Dims chunk_dims;
     std::vector<T> data;
   };
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{opts.threads, 0});
-  const auto workers = make_worker_states(sched.thread_count(), key);
   std::vector<Decoded> decoded;
   uint64_t max_row_end = 0;
   // With an intact index the field dims are known before fan-out and
@@ -1080,19 +1169,10 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // from the first decodable chunk at commit time instead (plane checks
   // for later chunks then happen in the commit).
   const std::optional<Dims> produce_dims = field_dims;
-  sched.run_ordered<SalvageDecode>(
-      jobs.size(),
-      [&](size_t worker, size_t j) {
-        SalvageDecode d;
-        d.error = try_decode_chunk<T>(
-            *jobs[j].second, workers[worker]->runtimes,
-            &workers[worker]->scratch, produce_dims, std::span<T>{},
-            &d.data, d.chunk_dims);
-        return d;
-      },
-      [&](size_t j, SalvageDecode&& d) {
+  ParallelChunkScheduler<SalvageDecode> sched(
+      ChunkSchedulerConfig{opts.threads, 0}, [&](size_t j, SalvageDecode&& d) {
         const uint64_t id = jobs[j].first;
-        const Frame& f = *jobs[j].second;
+        const FrameInfo& f = *jobs[j].second;
         if (d.error.empty() && !produce_dims && field_dims) {
           if (d.chunk_dims.rank() != field_dims->rank()) {
             d.error = "rank mismatch";
@@ -1117,6 +1197,17 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         decoded.push_back(Decoded{id, f.row_start, f.row_extent,
                                   f.frame_len, std::move(d.data)});
       });
+  const auto workers = make_worker_states(sched.thread_count(), key);
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    sched.submit([&, j](size_t worker, size_t) {
+      SalvageDecode d;
+      d.error = try_decode_chunk<T>(*jobs[j].second, workers[worker]->runtimes,
+                                    &workers[worker]->scratch, produce_dims,
+                                    std::span<T>{}, &d.data, d.chunk_dims);
+      return d;
+    });
+  }
+  sched.finish();
 
   if (!field_dims) {
     // Nothing decodable at all: report whatever we know and bail out.
@@ -1227,25 +1318,8 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
     rep.bytes_skipped =
         archive.size() > accounted ? archive.size() - accounted : 0;
   } else {
-    uint64_t next_gap_id = 0;
-    uint64_t row = 0;
-    for (auto& [id, d] : placed) {
-      if (d->row_start > row) {
-        rep.chunks.push_back(ChunkReport{
-            next_gap_id, ChunkStatus::kMissing, row, d->row_start - row, 0,
-            "no frame found for these rows"});
-      }
-      ChunkReport cr;
-      cr.chunk_id = id;
-      cr.status = ChunkStatus::kRelocated;
-      cr.row_start = d->row_start;
-      cr.row_extent = d->row_extent;
-      cr.frame_bytes = d->frame_len;
-      rep.chunks.push_back(std::move(cr));
-      next_gap_id = id + 1;
-      row = d->row_start + d->row_extent;
-    }
-    rep.chunks_expected = rep.chunks.size();
+    report_scan_only(
+        placed, [](const Decoded* d) -> const Decoded& { return *d; }, rep);
     const uint64_t accounted = frame_bytes_recovered + footer_suffix;
     rep.bytes_skipped =
         archive.size() > accounted ? archive.size() - accounted : 0;
@@ -1265,341 +1339,301 @@ SalvageResult decompress_salvage_f64(BytesView archive, BytesView key,
   return salvage_impl<double>(archive, key, opts);
 }
 
+
+// ---------------------------------------------------------------------
+// Streaming salvager
+
 namespace {
 
-/// Sliding window over a ByteSource for the single-pass salvage scan:
-/// bytes are retained from `start()` (absolute stream offset) to
-/// `end()`; the scanner drops everything behind its position, so the
-/// window holds at most one frame plus scan slack at any moment.
-class ScanWindow {
- public:
-  explicit ScanWindow(ByteSource& src) : src_(src) {}
-
-  /// Extends the window to cover absolute offsets [start(), abs_end);
-  /// returns false when the stream ends first.
-  bool ensure(uint64_t abs_end) {
-    if (abs_end <= end()) return true;
-    if (eof_) return false;
-    const size_t need = static_cast<size_t>(abs_end - end());
-    const size_t old = buf_.size();
-    buf_.resize(old + need);
-    const size_t got =
-        read_full(src_, std::span<uint8_t>(buf_).subspan(old));
-    buf_.resize(old + got);
-    if (got < need) eof_ = true;
-    return abs_end <= end();
-  }
-
-  /// Pulls up to `n` more bytes into the window (marker scanning reads
-  /// ahead in blocks); returns the bytes actually added.
-  size_t fill_more(size_t n) {
-    if (eof_) return 0;
-    const size_t old = buf_.size();
-    buf_.resize(old + n);
-    const size_t got =
-        read_full(src_, std::span<uint8_t>(buf_).subspan(old));
-    buf_.resize(old + got);
-    if (got < n) eof_ = true;
-    return got;
-  }
-
-  BytesView view() const { return BytesView(buf_); }
-  uint64_t start() const { return start_; }
-  uint64_t end() const { return start_ + buf_.size(); }
-  bool eof() const { return eof_; }
-
-  /// Forgets window bytes before absolute offset `abs`.
-  void drop_before(uint64_t abs) {
-    if (abs <= start_) return;
-    const size_t n =
-        std::min(static_cast<size_t>(abs - start_), buf_.size());
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(n));
-    start_ += n;
-  }
-
- private:
-  ByteSource& src_;
-  Bytes buf_;
-  uint64_t start_ = 0;
-  bool eof_ = false;
-};
-
-/// Marker + varint fields + CRC: the longest possible frame header.
-constexpr size_t kFrameHeadMax = kMarkerSize + 4 * 10 + sizeof(uint32_t);
 /// A scanned frame claiming a container longer than this is treated as
 /// a marker false-positive — the window (and therefore RSS) never grows
 /// past one such cap during salvage.
 constexpr uint64_t kMaxStreamContainer = uint64_t{1} << 31;
-/// The prelude retry loop stops growing the window here; a (legitimate)
+/// The prelude parse stops growing the window here; a (legitimate)
 /// index larger than this degrades to scan-only recovery.
 constexpr size_t kMaxStreamPrelude = size_t{16} << 20;
 /// Read-ahead block while hunting for the next resync marker.
 constexpr size_t kScanBlock = size_t{256} << 10;
-
-struct FrameHead {
-  uint64_t chunk_id = 0;
-  uint64_t row_start = 0;
-  uint64_t row_extent = 0;
-  uint64_t container_len = 0;
-  uint32_t crc = 0;
-  size_t head_len = 0;  ///< marker byte 0 .. container byte 0
-};
-
-/// Parses the frame header whose marker starts `v`; nullopt when the
-/// bytes are malformed or implausible (same caps as parse_frame_at,
-/// plus the streaming container-length cap).
-std::optional<FrameHead> parse_frame_head(BytesView v) {
-  try {
-    ByteReader r(v);
-    if (r.get_u64() != kResyncMarker) return std::nullopt;
-    FrameHead h;
-    h.chunk_id = r.get_varint();
-    h.row_start = r.get_varint();
-    h.row_extent = r.get_varint();
-    h.container_len = r.get_varint();
-    h.crc = r.get_u32();
-    h.head_len = r.pos();
-    if (h.chunk_id > kMaxExtent || h.row_start > kMaxExtent ||
-        h.row_extent == 0 || h.row_extent > kMaxExtent ||
-        h.container_len > kMaxStreamContainer) {
-      return std::nullopt;
-    }
-    return h;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
+/// Fill rows go out in blocks of about this many bytes.
+constexpr size_t kFillBlock = size_t{1} << 20;
 
 }  // namespace
 
-ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
-                                                  ByteSink& out,
-                                                  BytesView key,
-                                                  const SalvageOptions& opts) {
+ChunkedSalvager::ChunkedSalvager(ByteSink& out, BytesView key,
+                                 const SalvageOptions& opts)
+    : out_(out), fill_(opts.fill), runtimes_(key), want_(kMinPrelude) {
   SZSEC_REQUIRE(opts.fill != FallbackFill::kMean,
                 "streaming salvage cannot compute a mean fill in one "
                 "pass; use kZeros or kNaN");
-  ChunkedStreamSalvageResult res;
-  SalvageReport& rep = res.report;
-  ScanWindow win(in);
+}
 
-  // Attempt a strict prelude parse over a growing window: truncation
-  // failures retry with more bytes, genuine corruption keeps failing and
-  // falls through to scan-only recovery (the buffered bytes stay in the
-  // window, so no frame hiding in a damaged prelude is lost).
+std::span<uint8_t> ChunkedSalvager::want() {
+  if (eof_ || phase_ == Phase::kTail || phase_ == Phase::kDone) return {};
+  if (win_.size() < have_ + want_) win_.resize(have_ + want_);
+  return std::span<uint8_t>(win_).subspan(have_, want_);
+}
+
+void ChunkedSalvager::filled(size_t n) {
+  have_ += n;
+  if (phase_ != Phase::kPrelude) return;
+  want_ -= n;
+  if (want_ == 0) try_prelude();
+}
+
+void ChunkedSalvager::finish() {
+  eof_ = true;
+  // The parser asks for no more than the prelude still lacks, so a short
+  // final span means the prelude never completed.
+  if (phase_ == Phase::kPrelude) begin_scan(std::nullopt);
+}
+
+void ChunkedSalvager::drop_before(uint64_t abs) {
+  if (abs <= start_) return;
+  const size_t n = static_cast<size_t>(std::min<uint64_t>(abs - start_, have_));
+  std::memmove(win_.data(), win_.data() + n, have_ - n);
+  have_ -= n;
+  start_ += n;
+}
+
+void ChunkedSalvager::try_prelude() {
+  // A strict prelude parse over the bytes so far: truncation asks for
+  // more, genuine corruption falls through to scan-only recovery (the
+  // buffered bytes stay in the window, so no frame hiding in a damaged
+  // prelude is lost).
   std::optional<ChunkIndex> index;
-  for (size_t want = 4096;; want *= 2) {
-    win.ensure(want);
-    try {
-      IndexMemReader r(win.view());
-      ChunkIndex idx = parse_chunk_index(r);
-      for (ChunkEntry& e : idx.entries) e.offset += idx.body_start;
-      index = std::move(idx);
-      break;
-    } catch (const Error&) {
-      if (win.eof() || want >= kMaxStreamPrelude) break;
+  try {
+    size_t need = 0;
+    index = parse_prelude(view(), &need);
+    if (!index && end() < kMaxStreamPrelude) {
+      want_ = need;
+      return;
     }
+  } catch (const Error&) {
   }
-  rep.index_intact = index.has_value();
+  begin_scan(std::move(index));
+}
 
-  // Serial decode state: one runtime cache + scratch pool (the pass is
-  // single-threaded by design — ordered emission is the whole point).
-  RuntimeCache runtimes(key);
-  BufferPool scratch;
-
-  struct Placed {
-    ChunkStatus status;
-    uint64_t row_start;
-    uint64_t row_extent;
-    uint64_t frame_len;
-  };
-  std::map<uint64_t, Placed> placed;
-  std::map<uint64_t, std::string> failure;
-  uint64_t rows_done = 0;
-  uint64_t frame_bytes_recovered = 0;
-  bool have_dtype = false;
-  size_t elem_size = 0;
-  std::optional<Dims> field_dims;
-  size_t plane = 0;
-  if (index) {
-    field_dims = index->dims;
-    plane = index->dims.count() / index->dims[0];
+void ChunkedSalvager::begin_scan(std::optional<ChunkIndex> index) {
+  index_ = std::move(index);
+  result_.report.index_intact = index_.has_value();
+  if (index_) {
+    field_dims_ = index_->dims;
+    plane_ = index_->dims.count() / index_->dims[0];
+    pos_ = index_->body_start;
+    drop_before(pos_);
   }
-  Bytes fill_row;  // one row of fill values, built when dtype is known
+  phase_ = Phase::kScan;
+  want_ = kScanBlock;
+}
 
-  const auto build_fill_row = [&] {
-    fill_row.assign(plane * elem_size, 0);
-    if (opts.fill == FallbackFill::kNaN) {
-      if (res.dtype == sz::DType::kFloat32) {
-        const float v = std::numeric_limits<float>::quiet_NaN();
-        for (size_t i = 0; i < plane; ++i) {
-          std::memcpy(fill_row.data() + i * sizeof(v), &v, sizeof(v));
-        }
-      } else {
-        const double v = std::numeric_limits<double>::quiet_NaN();
-        for (size_t i = 0; i < plane; ++i) {
-          std::memcpy(fill_row.data() + i * sizeof(v), &v, sizeof(v));
-        }
+ChunkedSalvager::Avail ChunkedSalvager::avail(uint64_t abs_end) {
+  if (abs_end <= end()) return Avail::kYes;
+  if (eof_) return Avail::kNo;
+  want_ = static_cast<size_t>(
+      std::min<uint64_t>(abs_end - end(), kMaxWantSpan));
+  return Avail::kSuspend;
+}
+
+bool ChunkedSalvager::step() {
+  if (emit_pending()) return true;
+  switch (phase_) {
+    case Phase::kScan:
+      switch (scan()) {
+        case Scan::kFrame:
+          return true;
+        case Scan::kNeedInput:
+          return false;
+        case Scan::kExhausted:
+          seal_report();
+          phase_ = Phase::kTail;
+          return true;
       }
-    }
-  };
-  const auto emit_fill_rows = [&](uint64_t rows) {
-    for (uint64_t i = 0; i < rows; ++i) out.write(BytesView(fill_row));
-  };
+      return false;
+    case Phase::kTail:
+      out_.flush();
+      phase_ = Phase::kDone;
+      return true;
+    default:
+      return false;
+  }
+}
 
-  uint64_t pos = index ? index->body_start : 0;
-  win.drop_before(pos);
+bool ChunkedSalvager::emit_pending() {
+  if (fill_rows_ > 0) {
+    const size_t row = plane_ * elem_size_;
+    const uint64_t rows =
+        std::min<uint64_t>(fill_rows_, fill_block_.size() / row);
+    out_.write(BytesView(fill_block_.data(), static_cast<size_t>(rows) * row));
+    fill_rows_ -= rows;
+    return true;
+  }
+  if (chunk_pending_) {
+    out_.write(element_bytes(chunk_));
+    chunk_ = core::DecompressResult{};
+    chunk_pending_ = false;
+    return true;
+  }
+  return false;
+}
 
+// Resumable: every exit for more input leaves pos_ at a marker (or past
+// bytes proven marker-free), so re-entering re-runs the current
+// iteration from scratch — nothing before the decode has side effects.
+ChunkedSalvager::Scan ChunkedSalvager::scan() {
   while (true) {
-    // Hunt for the next marker, reading ahead block by block and keeping
-    // only a marker-sized tail of unmatched bytes.
-    size_t rel = find_marker(win.view(),
-                             static_cast<size_t>(pos - win.start()));
-    while (win.start() + rel >= win.end() && !win.eof()) {
-      if (win.end() >= kMarkerSize) {
-        win.drop_before(win.end() - (kMarkerSize - 1));
+    // Hunt for the next marker, keeping only a marker-sized tail of
+    // unmatched bytes.
+    const size_t rel =
+        find_marker(view(), static_cast<size_t>(pos_ - start_));
+    if (start_ + rel >= end()) {
+      if (eof_) return Scan::kExhausted;
+      if (end() >= kMarkerSize) {
+        pos_ = std::max(pos_, end() - (kMarkerSize - 1));
       }
-      win.fill_more(kScanBlock);
-      rel = find_marker(win.view(), 0);
+      drop_before(pos_);
+      want_ = kScanBlock;
+      return Scan::kNeedInput;
     }
-    if (win.start() + rel >= win.end()) break;  // stream exhausted
-    pos = win.start() + rel;
+    pos_ = start_ + rel;
 
-    win.ensure(pos + kFrameHeadMax);
+    if (avail(pos_ + kFrameHeadMax) == Avail::kSuspend) {
+      return Scan::kNeedInput;
+    }
     const std::optional<FrameHead> fh =
-        parse_frame_head(win.view().subspan(
-            static_cast<size_t>(pos - win.start())));
-    if (!fh) {
-      ++pos;
+        parse_frame_head(view().subspan(static_cast<size_t>(pos_ - start_)));
+    if (!fh || fh->container_len > kMaxStreamContainer) {
+      ++pos_;
       continue;
     }
-    if (index) {
+    if (index_) {
       // The CRC-protected index is authoritative: a scanned frame may
       // only stand in for the chunk id it claims, at that id's rows.
-      if (fh->chunk_id >= index->entries.size() ||
-          index->entries[fh->chunk_id].row_start != fh->row_start ||
-          index->entries[fh->chunk_id].row_extent != fh->row_extent) {
-        pos += kMarkerSize;
+      if (fh->chunk_id >= index_->entries.size() ||
+          index_->entries[fh->chunk_id].row_start != fh->row_start ||
+          index_->entries[fh->chunk_id].row_extent != fh->row_extent) {
+        pos_ += kMarkerSize;
         continue;
       }
     }
     const uint64_t frame_len = fh->head_len + fh->container_len;
-    if (!win.ensure(pos + frame_len)) {
-      ++pos;  // stream ends inside this frame: scan what remains
-      continue;
+    switch (avail(pos_ + frame_len)) {
+      case Avail::kSuspend:
+        return Scan::kNeedInput;
+      case Avail::kNo:
+        ++pos_;  // stream ends inside this frame: scan what remains
+        continue;
+      case Avail::kYes:
+        break;
     }
-    const BytesView container = win.view().subspan(
-        static_cast<size_t>(pos - win.start()) + fh->head_len,
-        static_cast<size_t>(fh->container_len));
+    const BytesView container =
+        view().subspan(static_cast<size_t>(pos_ - start_) + fh->head_len,
+                       static_cast<size_t>(fh->container_len));
     if (crc32(container) != fh->crc) {
-      ++pos;  // damaged frame: keep scanning inside it
+      ++pos_;  // damaged frame: keep scanning inside it
       continue;
     }
-    if (placed.count(fh->chunk_id) != 0) {
-      pos += frame_len;  // duplicate of an already-recovered chunk
-      win.drop_before(pos);
+    if (placed_.count(fh->chunk_id) != 0) {
+      pos_ += frame_len;  // duplicate of an already-recovered chunk
+      drop_before(pos_);
       continue;
     }
 
-    // CRC-valid frame for a new chunk: decode, then emit in order.
+    // CRC-valid frame for a new chunk: decode, then queue it for
+    // in-order emission behind the fill rows of any gap before it.
     std::string err;
     core::DecompressResult dr;
-    Dims chunk_dims;
     try {
       const core::Header h = core::peek_header(container);
-      if (h.dims[0] != fh->row_extent) {
-        err = "container rows != frame rows";
-      } else if (field_dims && h.dims.rank() != field_dims->rank()) {
-        err = "rank mismatch";
-      } else if (field_dims) {
-        for (size_t k = 1; k < h.dims.rank(); ++k) {
-          if (h.dims[k] != (*field_dims)[k]) err = "plane dims mismatch";
-        }
-      }
-      if (err.empty() && have_dtype && h.dtype != res.dtype) {
-        err = "container dtype mismatch";
-      }
+      err = header_mismatch(
+          h, fh->row_extent, field_dims_,
+          have_dtype_ ? std::optional<sz::DType>(result_.dtype)
+                      : std::nullopt);
       if (err.empty()) {
-        core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-        spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-        const CodecRuntime& runtime =
-            runtimes.get(h.params, h.scheme, spec);
         core::codec::DecodeOptions dopts;
-        dopts.pool = &scratch;
-        dr = core::codec::decode_payload(runtime.config(), container,
-                                         dopts);
-        chunk_dims = h.dims;
+        dopts.pool = &scratch_;
+        dr = core::codec::decode_payload(
+            runtime_for(runtimes_, h).config(), container, dopts);
       }
     } catch (const Error& ex) {
       err = ex.what();
     }
-    if (err.empty() && fh->row_start < rows_done) {
+    if (err.empty() && fh->row_start < rows_done_) {
       err = "rows precede already-emitted rows (single-pass order)";
     }
     if (!err.empty()) {
-      failure[fh->chunk_id] = err;
-      pos += frame_len;
-      win.drop_before(pos);
+      failure_[fh->chunk_id] = err;
+      pos_ += frame_len;
+      drop_before(pos_);
       continue;
     }
 
-    if (!have_dtype) {
-      res.dtype = dr.dtype;
-      elem_size = dr.dtype == sz::DType::kFloat32 ? sizeof(float)
-                                                  : sizeof(double);
-      have_dtype = true;
-      if (!field_dims) {
+    if (!have_dtype_) {
+      result_.dtype = dr.dtype;
+      elem_size_ = sz::dtype_size(dr.dtype);
+      have_dtype_ = true;
+      if (!field_dims_) {
         // Scan-only recovery: plane dims come from the chunk itself; the
         // slowest extent is completed from row coverage at the end.
-        field_dims = chunk_dims;
-        plane = field_dims->count() / (*field_dims)[0];
+        field_dims_ = dr.dims;
+        plane_ = dr.dims.count() / dr.dims[0];
       }
-      build_fill_row();
+      const size_t row = plane_ * elem_size_;
+      const size_t rows = std::max<size_t>(
+          1, std::min<size_t>(kFillBlock / row, (*field_dims_)[0]));
+      fill_block_.assign(rows * row, 0);
+      if (fill_ == FallbackFill::kNaN) {
+        for (size_t i = 0; i < rows * plane_; ++i) {
+          if (dr.dtype == sz::DType::kFloat32) {
+            const float v = std::numeric_limits<float>::quiet_NaN();
+            std::memcpy(fill_block_.data() + i * sizeof(v), &v, sizeof(v));
+          } else {
+            const double v = std::numeric_limits<double>::quiet_NaN();
+            std::memcpy(fill_block_.data() + i * sizeof(v), &v, sizeof(v));
+          }
+        }
+      }
     }
-    emit_fill_rows(fh->row_start - rows_done);
-    const BytesView bytes =
-        dr.dtype == sz::DType::kFloat32
-            ? BytesView(reinterpret_cast<const uint8_t*>(dr.f32.data()),
-                        dr.f32.size() * sizeof(float))
-            : BytesView(reinterpret_cast<const uint8_t*>(dr.f64.data()),
-                        dr.f64.size() * sizeof(double));
-    out.write(bytes);
-    rep.elements_recovered += bytes.size() / elem_size;
-    rows_done = fh->row_start + fh->row_extent;
-    frame_bytes_recovered += frame_len;
-    ChunkStatus status = ChunkStatus::kRelocated;
-    if (index &&
-        pos == index->entries[fh->chunk_id].offset) {
-      status = ChunkStatus::kOk;
-    }
-    placed.emplace(fh->chunk_id, Placed{status, fh->row_start,
-                                        fh->row_extent, frame_len});
-    pos += frame_len;
-    win.drop_before(pos);
+    fill_rows_ = fh->row_start - rows_done_;
+    result_.report.elements_recovered +=
+        element_bytes(dr).size() / elem_size_;
+    rows_done_ = fh->row_start + fh->row_extent;
+    frame_bytes_recovered_ += frame_len;
+    const ChunkStatus status =
+        index_ && pos_ == index_->entries[fh->chunk_id].offset
+            ? ChunkStatus::kOk
+            : ChunkStatus::kRelocated;
+    placed_.emplace(fh->chunk_id, Placed{status, fh->row_start,
+                                         fh->row_extent, frame_len});
+    chunk_ = std::move(dr);
+    chunk_pending_ = true;
+    pos_ += frame_len;
+    drop_before(pos_);
+    return Scan::kFrame;
   }
+}
 
-  // Tail fill + report.
-  if (index) {
-    if (have_dtype && rows_done < index->dims[0]) {
-      emit_fill_rows(index->dims[0] - rows_done);
-      rows_done = index->dims[0];
+void ChunkedSalvager::seal_report() {
+  SalvageReport& rep = result_.report;
+  if (index_) {
+    if (have_dtype_ && rows_done_ < index_->dims[0]) {
+      fill_rows_ = index_->dims[0] - rows_done_;
+      rows_done_ = index_->dims[0];
     }
-    res.dims = index->dims;
-    rep.elements_total = index->dims.count();
-    rep.chunks_expected = index->entries.size();
-    for (size_t i = 0; i < index->entries.size(); ++i) {
-      const ChunkEntry& e = index->entries[i];
+    result_.dims = index_->dims;
+    rep.elements_total = index_->dims.count();
+    rep.chunks_expected = index_->entries.size();
+    for (size_t i = 0; i < index_->entries.size(); ++i) {
+      const ChunkEntry& e = index_->entries[i];
       ChunkReport cr;
       cr.chunk_id = i;
       cr.row_start = e.row_start;
       cr.row_extent = e.row_extent;
-      if (auto it = placed.find(i); it != placed.end()) {
+      if (auto it = placed_.find(i); it != placed_.end()) {
         cr.status = it->second.status;
         cr.frame_bytes = it->second.frame_len;
-      } else if (failure.count(i) != 0) {
+      } else if (failure_.count(i) != 0) {
         cr.status = ChunkStatus::kCorrupt;
-        cr.detail = failure[i];
+        cr.detail = failure_[i];
       } else {
         cr.status = ChunkStatus::kMissing;
         cr.detail = "no frame found";
@@ -1609,42 +1643,29 @@ ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
     // Single-pass accounting: a trailing seek-table footer cannot be
     // recognized without look-ahead, so unlike the in-memory salvage its
     // bytes count as skipped here — an over-, never under-estimate.
-    const uint64_t accounted =
-        frame_bytes_recovered + index->body_start;
-    rep.bytes_skipped =
-        win.end() > accounted ? win.end() - accounted : 0;
+    const uint64_t accounted = frame_bytes_recovered_ + index_->body_start;
+    rep.bytes_skipped = end() > accounted ? end() - accounted : 0;
   } else {
-    if (field_dims) {
-      res.dims = parallel::slab_dims(*field_dims,
-                                     static_cast<size_t>(rows_done));
-      rep.elements_total = res.dims.count();
+    if (field_dims_) {
+      result_.dims =
+          parallel::slab_dims(*field_dims_, static_cast<size_t>(rows_done_));
+      rep.elements_total = result_.dims.count();
     }
-    uint64_t next_gap_id = 0;
-    uint64_t row = 0;
-    for (const auto& [id, p] : placed) {
-      if (p.row_start > row) {
-        rep.chunks.push_back(ChunkReport{
-            next_gap_id, ChunkStatus::kMissing, row, p.row_start - row, 0,
-            "no frame found for these rows"});
-      }
-      ChunkReport cr;
-      cr.chunk_id = id;
-      cr.status = ChunkStatus::kRelocated;
-      cr.row_start = p.row_start;
-      cr.row_extent = p.row_extent;
-      cr.frame_bytes = p.frame_len;
-      rep.chunks.push_back(std::move(cr));
-      next_gap_id = id + 1;
-      row = p.row_start + p.row_extent;
-    }
-    rep.chunks_expected = rep.chunks.size();
-    rep.bytes_skipped = win.end() > frame_bytes_recovered
-                            ? win.end() - frame_bytes_recovered
-                            : 0;
+    report_scan_only(
+        placed_, [](const Placed& p) -> const Placed& { return p; }, rep);
+    rep.bytes_skipped =
+        end() > frame_bytes_recovered_ ? end() - frame_bytes_recovered_ : 0;
   }
-  rep.chunks_recovered = placed.size();
-  out.flush();
-  return res;
+  rep.chunks_recovered = placed_.size();
+}
+
+ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
+                                                  ByteSink& out,
+                                                  BytesView key,
+                                                  const SalvageOptions& opts) {
+  ChunkedSalvager m(out, key, opts);
+  drive(m, in);
+  return m.result();
 }
 
 }  // namespace szsec::archive

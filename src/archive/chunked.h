@@ -54,9 +54,16 @@
 // fallback fill is computed from the *recovered* elements, so the
 // archive leaks nothing about encrypted content beyond its size.
 //
+// One implementation: the encoder, the strict decoder and the streaming
+// salvager are push-driven machines (archive/chunk_machine.h); the
+// streaming, in-memory and sans-io entry points are thin drivers of
+// them.  The in-memory decompress_salvage is the one separate pass: it
+// recovers reordered frames and computes the mean fill.
+//
 // Threading model: both directions run chunk-parallel on a
 // parallel::ParallelChunkScheduler — bounded in-flight chunks, per-worker
-// scratch state, and commits in chunk-index order on the calling thread.
+// scratch state, and commits in chunk-index order on the calling thread
+// (one worker runs every chunk inline, starting no thread).
 // Output is byte-identical for every thread count: per-chunk IVs are
 // derived from the chunk index before fan-out, and the archive is
 // assembled in index order regardless of completion order.
@@ -153,11 +160,12 @@ struct ChunkedStreamResult {
   PipelineMetrics times;
 };
 
-/// Streaming compress: pulls raw little-endian element bytes (row-major,
-/// dims.count() elements of `dtype`) from `in` one chunk at a time and
-/// writes the finished v3 archive to `out`, holding at most the
-/// scheduler's in-flight window of chunks in memory — peak RSS is
-/// O(chunk_size x max_in_flight) however large the field is (frames are
+/// Streaming compress: reads raw little-endian element bytes (row-major,
+/// dims.count() elements of `dtype`) from `in` straight into the
+/// encoder's chunk buffers and writes the finished v3 archive to `out`,
+/// holding at most the scheduler's in-flight window of chunks in
+/// memory — peak RSS is O(chunk_size x max_in_flight) however large the
+/// field is (frames are
 /// staged in a FrameSpool until the index can be written; see
 /// ChunkedConfig::spool).  The emitted bytes are identical to
 /// compress_chunked on the same elements, for every thread count.
@@ -170,6 +178,8 @@ ChunkedStreamResult compress_chunked_stream(
 
 /// Strict decode: requires every chunk intact; throws CorruptError on any
 /// damage (the fail-fast path for callers who cannot accept data loss).
+/// Feeds `archive` through the same machine as decompress_chunked_stream;
+/// chunks of the other element type are CorruptError.
 std::vector<float> decompress_chunked_f32(BytesView archive, BytesView key,
                                           const ChunkedConfig& config = {});
 std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
@@ -181,10 +191,12 @@ struct ChunkedStreamDecodeResult {
   sz::DType dtype = sz::DType::kFloat32;
   uint64_t elements = 0;       ///< elements written to the sink
   uint64_t element_bytes = 0;  ///< bytes written (elements x dtype size)
+  size_t chunk_count = 0;      ///< chunks in the archive's index
 };
 
-/// Streaming strict decode: reads a v3 archive from `in` (tolerating
-/// arbitrarily short reads — a 1-byte dribble works) and writes the
+/// Streaming strict decode: reads a v3 archive from `in` frame by frame
+/// (tolerating arbitrarily short reads — a 1-byte dribble works; bytes
+/// after the last indexed frame are never read) and writes the
 /// reconstructed field to `out` as raw little-endian element bytes in
 /// chunk-index order.  dtype-agnostic: the element type comes from the
 /// chunks themselves and is reported in the result; mixed dtypes are

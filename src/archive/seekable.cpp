@@ -5,44 +5,15 @@
 #include <memory>
 #include <vector>
 
-#include "common/bufpool.h"
+#include "archive/chunk_machine.h"
 #include "core/container.h"
-#include "parallel/chunk_scheduler.h"
 
 namespace szsec::archive {
 
 namespace {
 
-using core::codec::RuntimeCache;
 using parallel::ChunkSchedulerConfig;
 using parallel::ParallelChunkScheduler;
-
-template <typename T>
-constexpr sz::DType dtype_of() {
-  return std::is_same_v<T, float> ? sz::DType::kFloat32
-                                  : sz::DType::kFloat64;
-}
-
-/// The prelude-fallback parse stops growing its window here, matching
-/// the streaming salvage bound.
-constexpr size_t kMaxSeekPrelude = size_t{16} << 20;
-
-/// Scratch state owned by one pool worker during a multi-chunk read.
-struct WorkerState {
-  explicit WorkerState(BytesView key) : runtimes(key) {}
-  RuntimeCache runtimes;
-  BufferPool scratch;
-};
-
-std::vector<std::unique_ptr<WorkerState>> make_worker_states(
-    size_t count, BytesView key) {
-  std::vector<std::unique_ptr<WorkerState>> states;
-  states.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    states.push_back(std::make_unique<WorkerState>(key));
-  }
-  return states;
-}
 
 /// Copies the ROI's intersection with one decoded chunk (global rows
 /// [g_lo, g_hi), already clamped to both the chunk and the ROI) from
@@ -103,7 +74,7 @@ SeekableReader::SeekableReader(std::unique_ptr<ByteSource> src,
     : src_(std::move(src)),
       key_(key.begin(), key.end()),
       options_(options),
-      runtimes_(key) {
+      own_(std::make_unique<WorkerState>(key)) {
   // size() is the capability probe: a pipe throws the typed IoError
   // (ESPIPE) right here, before any bytes move.
   archive_size_ = src_->size();
@@ -131,24 +102,21 @@ SeekableReader::SeekableReader(std::unique_ptr<ByteSource> src,
     table_ = parse_seek_footer(BytesView(footer), archive_size_);
     dtype_ = *table_.dtype;
   } else {
-    // Footer-less archive: strict-parse the prelude index over a
-    // growing window (truncation retries with more bytes; genuine
-    // corruption keeps failing and is rethrown).
-    for (size_t want = 4096;; want *= 2) {
-      const size_t n = static_cast<size_t>(
-          std::min<uint64_t>(want, archive_size_));
-      Bytes prefix(n);
-      SZSEC_CHECK_FORMAT(
-          pread_full(*src_, 0, std::span<uint8_t>(prefix)) == n,
-          "truncated archive");
-      try {
-        table_ = seek_table_from_index(read_chunk_index(BytesView(prefix)));
-        bytes_read_ += n;
-        break;
-      } catch (const Error&) {
-        if (n == archive_size_ || want >= kMaxSeekPrelude) throw;
-      }
+    // Footer-less archive: strict-parse the prelude index, reading
+    // exactly the bytes the incremental parser proves it still lacks.
+    Bytes prefix;
+    size_t need = 0;
+    std::optional<ChunkIndex> index = parse_prelude(prefix, &need);
+    while (!index) {
+      const size_t at = prefix.size();
+      prefix.resize(at + need);
+      const size_t got = pread_full(
+          *src_, at, std::span<uint8_t>(prefix).subspan(at));
+      bytes_read_ += got;
+      SZSEC_CHECK_FORMAT(got == need, "truncated archive prelude");
+      index = parse_prelude(prefix, &need);
     }
+    table_ = seek_table_from_index(*index);
     // The index predates the footer and stores no dtype: peek the first
     // chunk's container header (frame head + container prefix).
     const SeekEntry& e0 = table_.entries.front();
@@ -250,78 +218,49 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
   while (entries[c0].elem_start + entries[c0].elem_count <= elem_lo) ++c0;
   size_t c1 = c0;
   while (c1 < entries.size() && entries[c1].elem_start < elem_hi) ++c1;
-  const size_t n = c1 - c0;
 
-  struct Input {
-    Bytes buf;
-    FrameInfo frame;
-  };
   struct Decoded {
     std::string error;
     std::vector<T> partial;  ///< boundary chunks only
   };
-
-  const auto decode_one = [&](size_t chunk, const FrameInfo& f,
-                              RuntimeCache& rc, BufferPool* pool,
-                              Decoded& d) {
-    const SeekEntry& e = entries[chunk];
-    const bool full =
-        e.elem_start >= elem_lo && e.elem_start + e.elem_count <= elem_hi;
-    Dims chunk_dims;
-    if (full) {
-      const std::span<T> into = out.subspan(
-          static_cast<size_t>(e.elem_start - elem_lo),
-          static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, pool, table_.dims, into,
-                                   chunk_dims);
-    } else {
-      d.partial.resize(static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, pool, table_.dims,
-                                   std::span<T>(d.partial), chunk_dims);
-    }
-  };
-  const auto commit_one = [&](size_t chunk, Decoded&& d) {
-    if (!d.error.empty()) {
-      throw CorruptError("chunk " + std::to_string(chunk) + ": " +
-                         d.error);
-    }
-    if (d.partial.empty()) return;
-    const SeekEntry& e = entries[chunk];
-    const uint64_t lo = std::max(elem_lo, e.elem_start);
-    const uint64_t hi = std::min(elem_hi, e.elem_start + e.elem_count);
-    std::copy_n(d.partial.begin() + static_cast<size_t>(lo - e.elem_start),
-                static_cast<size_t>(hi - lo),
-                out.begin() + static_cast<size_t>(lo - elem_lo));
-  };
-
-  if (n == 1) {
-    Bytes buf;
-    const FrameInfo f = fetch_frame(c0, buf);
-    Decoded d;
-    decode_one(c0, f, runtimes_, &scratch_, d);
-    commit_one(c0, std::move(d));
-    return;
-  }
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{options_.threads, options_.max_in_flight});
-  const auto workers =
-      make_worker_states(sched.thread_count(), BytesView(key_));
-  sched.run_ordered_fed<Input, Decoded>(
-      n,
-      [&](size_t j) {
-        Input in;
-        in.frame = fetch_frame(c0 + j, in.buf);
-        return in;
-      },
-      [&](size_t worker, size_t j, Input&& in) {
-        // Fully covered chunks write disjoint slices of `out` directly
-        // on the worker; only boundary chunks go through a temporary.
+  run_chunks<Decoded>(
+      c0, c1,
+      [&](size_t chunk, const FrameInfo& f, size_t, WorkerState& w) {
+        // Fully covered chunks write disjoint slices of `out` directly;
+        // only boundary chunks go through a temporary.
+        const SeekEntry& e = entries[chunk];
+        const bool full = e.elem_start >= elem_lo &&
+                          e.elem_start + e.elem_count <= elem_hi;
         Decoded d;
-        decode_one(c0 + j, in.frame, workers[worker]->runtimes,
-                   &workers[worker]->scratch, d);
+        Dims chunk_dims;
+        if (full) {
+          const std::span<T> into =
+              out.subspan(static_cast<size_t>(e.elem_start - elem_lo),
+                          static_cast<size_t>(e.elem_count));
+          d.error = decode_chunk_frame(f, w.runtimes, &w.scratch,
+                                       table_.dims, into, chunk_dims);
+        } else {
+          d.partial.resize(static_cast<size_t>(e.elem_count));
+          d.error = decode_chunk_frame(f, w.runtimes, &w.scratch,
+                                       table_.dims, std::span<T>(d.partial),
+                                       chunk_dims);
+        }
         return d;
       },
-      [&](size_t j, Decoded&& d) { commit_one(c0 + j, std::move(d)); });
+      [&](size_t chunk, Decoded&& d) {
+        if (!d.error.empty()) {
+          throw CorruptError("chunk " + std::to_string(chunk) + ": " +
+                             d.error);
+        }
+        if (d.partial.empty()) return;
+        const SeekEntry& e = entries[chunk];
+        const uint64_t lo = std::max(elem_lo, e.elem_start);
+        const uint64_t hi = std::min(elem_hi, e.elem_start + e.elem_count);
+        std::copy_n(
+            d.partial.begin() + static_cast<size_t>(lo - e.elem_start),
+            static_cast<size_t>(hi - lo),
+            out.begin() + static_cast<size_t>(lo - elem_lo));
+      });
 }
 
 template <typename T>
@@ -350,71 +289,67 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
   while (entries[c0].row_start + entries[c0].row_extent <= row_lo) ++c0;
   size_t c1 = c0;
   while (c1 < entries.size() && entries[c1].row_start < row_hi) ++c1;
-  const size_t n = c1 - c0;
 
-  struct Input {
-    Bytes buf;
-    FrameInfo frame;
-  };
-  struct Decoded {
-    std::string error;
-  };
-
-  // Decode the whole chunk into scratch, then gather the hyperslab
-  // rows it owns.  Chunks own disjoint row ranges, so the gathered out
-  // regions are disjoint too — gathering on the worker is safe.
-  const auto decode_and_gather = [&](size_t chunk, const FrameInfo& f,
-                                     RuntimeCache& rc, BufferPool* pool,
-                                     std::vector<T>& scratch,
-                                     Decoded& d) {
-    const SeekEntry& e = entries[chunk];
-    scratch.resize(static_cast<size_t>(e.elem_count));
-    Dims chunk_dims;
-    d.error = decode_chunk_frame(f, rc, pool, table_.dims,
-                                 std::span<T>(scratch), chunk_dims);
-    if (!d.error.empty()) return;
-    const uint64_t g_lo = std::max<uint64_t>(row_lo, e.row_start);
-    const uint64_t g_hi =
-        std::min<uint64_t>(row_hi, e.row_start + e.row_extent);
-    gather_rows<T>(table_.dims, origin, extent, e.row_start,
-                   std::span<const T>(scratch), g_lo, g_hi, out);
-  };
-
-  if (n == 1) {
-    Bytes buf;
-    const FrameInfo f = fetch_frame(c0, buf);
-    std::vector<T> scratch;
-    Decoded d;
-    decode_and_gather(c0, f, runtimes_, &scratch_, scratch, d);
-    if (!d.error.empty()) {
-      throw CorruptError("chunk " + std::to_string(c0) + ": " + d.error);
-    }
-    return;
-  }
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{options_.threads, options_.max_in_flight});
-  const auto workers =
-      make_worker_states(sched.thread_count(), BytesView(key_));
-  std::vector<std::vector<T>> scratch(sched.thread_count());
-  sched.run_ordered_fed<Input, Decoded>(
-      n,
-      [&](size_t j) {
-        Input in;
-        in.frame = fetch_frame(c0 + j, in.buf);
-        return in;
+  // Decode the whole chunk into per-worker scratch, then gather the
+  // hyperslab rows it owns.  Chunks own disjoint row ranges, so the
+  // gathered out regions are disjoint too — gathering on the worker is
+  // safe.
+  std::vector<std::vector<T>> scratch(worker_count(c1 - c0));
+  run_chunks<std::string>(
+      c0, c1,
+      [&](size_t chunk, const FrameInfo& f, size_t worker, WorkerState& w) {
+        const SeekEntry& e = entries[chunk];
+        std::vector<T>& buf = scratch[worker];
+        buf.resize(static_cast<size_t>(e.elem_count));
+        Dims chunk_dims;
+        std::string error = decode_chunk_frame(
+            f, w.runtimes, &w.scratch, table_.dims, std::span<T>(buf),
+            chunk_dims);
+        if (error.empty()) {
+          const uint64_t g_lo = std::max<uint64_t>(row_lo, e.row_start);
+          const uint64_t g_hi =
+              std::min<uint64_t>(row_hi, e.row_start + e.row_extent);
+          gather_rows<T>(table_.dims, origin, extent, e.row_start,
+                         std::span<const T>(buf), g_lo, g_hi, out);
+        }
+        return error;
       },
-      [&](size_t worker, size_t j, Input&& in) {
-        Decoded d;
-        decode_and_gather(c0 + j, in.frame, workers[worker]->runtimes,
-                          &workers[worker]->scratch, scratch[worker], d);
-        return d;
-      },
-      [&](size_t j, Decoded&& d) {
-        if (!d.error.empty()) {
-          throw CorruptError("chunk " + std::to_string(c0 + j) + ": " +
-                             d.error);
+      [](size_t chunk, std::string&& error) {
+        if (!error.empty()) {
+          throw CorruptError("chunk " + std::to_string(chunk) + ": " + error);
         }
       });
+}
+
+size_t SeekableReader::worker_count(size_t chunks) const {
+  const size_t threads = options_.threads != 0
+                             ? options_.threads
+                             : parallel::default_thread_count();
+  return std::min(threads, chunks);
+}
+
+template <typename Result, typename Decode, typename Commit>
+void SeekableReader::run_chunks(size_t c0, size_t c1, const Decode& decode,
+                                const Commit& commit) {
+  // Worker 0 is the reader's own state, so its key schedule persists
+  // across reads; the others live for this read only.
+  const size_t n = worker_count(c1 - c0);
+  const auto extra = make_worker_states(n - 1, BytesView(key_));
+  std::vector<WorkerState*> workers{own_.get()};
+  for (const auto& w : extra) workers.push_back(w.get());
+  // Frames are fetched (and validated) here, in order; the decode runs
+  // on the scheduler — inline on this thread for a single-chunk read.
+  ParallelChunkScheduler<Result> sched(
+      ChunkSchedulerConfig{static_cast<unsigned>(n), options_.max_in_flight},
+      [&](size_t j, Result&& r) { commit(c0 + j, std::move(r)); });
+  for (size_t c = c0; c < c1; ++c) {
+    auto buf = std::make_shared<Bytes>();
+    const FrameInfo f = fetch_frame(c, *buf);
+    sched.submit([&decode, &workers, c, f, buf](size_t worker, size_t) {
+      return decode(c, f, worker, *workers[worker]);
+    });
+  }
+  sched.finish();
 }
 
 void SeekableReader::read_range(uint64_t elem_lo, uint64_t elem_hi,

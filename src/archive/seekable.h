@@ -21,9 +21,10 @@
 //     so a ROI touches exactly the chunks its slowest-dim range
 //     intersects).
 //
-// Multi-chunk requests fan out on ParallelChunkScheduler with in-order
-// commits; single-chunk requests decode serially on the calling thread
-// (no pool spin-up on the latency path).  Every frame is validated
+// Requests run on a ParallelChunkScheduler sized to min(threads, chunks
+// touched), with in-order commits: a single-chunk request decodes
+// inline on the calling thread (no pool spin-up on the latency path)
+// with the reader's own cached key schedule.  Every frame is validated
 // against the seek table (id, rows, length, CRC) before its container
 // is decoded, and decode failures — wrong key included — surface as
 // typed errors (CorruptError/CryptoError), never as partial output.
@@ -39,6 +40,8 @@
 #include "archive/chunked.h"
 
 namespace szsec::archive {
+
+struct WorkerState;
 
 /// Opaque random-access handle over one chunked archive.  Open it from
 /// a path, a borrowed FILE*, borrowed memory, or any seekable
@@ -134,6 +137,17 @@ class SeekableReader {
   void read_roi_impl(std::span<const size_t> origin,
                      std::span<const size_t> extent, std::span<T> out);
 
+  /// Workers for a read touching `chunks` chunks: min(threads, chunks).
+  size_t worker_count(size_t chunks) const;
+
+  /// Fetches chunks [c0, c1) in order on the calling thread and runs
+  /// decode(chunk, frame, worker, state) for each on a scheduler of
+  /// worker_count(c1 - c0) workers; commit(chunk, result) runs here in
+  /// chunk order.
+  template <typename Result, typename Decode, typename Commit>
+  void run_chunks(size_t c0, size_t c1, const Decode& decode,
+                  const Commit& commit);
+
   /// preads chunk `i`'s frame into `buf` and validates it against the
   /// seek table (marker, id, rows, length, CRC); returns the parsed
   /// frame borrowing from `buf`.
@@ -146,10 +160,9 @@ class SeekableReader {
   sz::DType dtype_ = sz::DType::kFloat32;
   uint64_t archive_size_ = 0;
   uint64_t bytes_read_ = 0;
-  /// Key schedules for the serial (single-chunk) path, reused across
-  /// reads; multi-chunk fan-out builds per-worker caches instead.
-  core::codec::RuntimeCache runtimes_;
-  BufferPool scratch_;
+  /// Worker 0's key-schedule cache and scratch, reused across reads
+  /// (it serves every single-chunk read on the calling thread).
+  std::unique_ptr<WorkerState> own_;
 };
 
 }  // namespace szsec::archive

@@ -36,7 +36,7 @@ MacCheck check_mac(BytesView container, const core::Header& h,
 }
 
 /// Verifies one v3 chunk against its index entry; mirrors the strict
-/// decoder's checks (decompress_chunked_impl + try_decode_chunk) short
+/// decoder's checks (ChunkedDecoder + try_decode_chunk) short
 /// of actually decoding, so "verify clean" and "strict decode succeeds"
 /// agree on everything verify can see.
 VerifyChunk verify_v3_chunk(BytesView archive, const ChunkIndex& index,

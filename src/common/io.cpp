@@ -688,7 +688,7 @@ FrameSpool::~FrameSpool() {
 void FrameSpool::write(BytesView data) {
   if (data.empty()) return;
   if (backing_ == Backing::kMemory) {
-    mem_.insert(mem_.end(), data.begin(), data.end());
+    mem_.emplace_back(data.begin(), data.end());
   } else if (std::fwrite(data.data(), 1, data.size(), file_) !=
              data.size()) {
     throw errno_error("spool write failed");
@@ -696,32 +696,36 @@ void FrameSpool::write(BytesView data) {
   size_ += data.size();
 }
 
-void FrameSpool::replay(ByteSink& out) {
+bool FrameSpool::replay_block(ByteSink& out) {
   if (backing_ == Backing::kMemory) {
-    out.write(BytesView(mem_));
-    mem_.clear();
-    mem_.shrink_to_fit();
-    size_ = 0;
-    return;
+    if (mem_.empty()) {
+      size_ = 0;
+      return false;
+    }
+    out.write(BytesView(mem_.front()));
+    mem_.pop_front();
+    return true;
   }
-  if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+  if (replayed_ == 0 &&
+      (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0)) {
     throw errno_error("spool rewind failed");
   }
-  Bytes block(256 * 1024);
-  uint64_t left = size_;
-  while (left > 0) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(left, block.size()));
-    if (std::fread(block.data(), 1, want, file_) != want) {
-      throw errno_error("spool read-back failed");
+  if (replayed_ == size_) {
+    if (std::fseek(file_, 0, SEEK_SET) != 0) {
+      throw errno_error("spool reset failed");
     }
-    out.write(BytesView(block.data(), want));
-    left -= want;
+    size_ = 0;
+    replayed_ = 0;
+    return false;
   }
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    throw errno_error("spool reset failed");
+  block_.resize(static_cast<size_t>(
+      std::min<uint64_t>(size_ - replayed_, 256 * 1024)));
+  if (std::fread(block_.data(), 1, block_.size(), file_) != block_.size()) {
+    throw errno_error("spool read-back failed");
   }
-  size_ = 0;
+  out.write(BytesView(block_));
+  replayed_ += block_.size();
+  return true;
 }
 
 }  // namespace szsec

@@ -35,6 +35,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <span>
 #include <string>
@@ -213,6 +214,7 @@ class MemorySource final : public ByteSource {
 
   size_t read(std::span<uint8_t> out) override {
     const size_t n = std::min(out.size(), data_.size() - pos_);
+    if (n == 0) return 0;  // an empty view or span may hold a null pointer
     std::memcpy(out.data(), data_.data() + pos_, n);
     pos_ += n;
     return n;
@@ -221,7 +223,7 @@ class MemorySource final : public ByteSource {
   bool seekable() const override { return true; }
   uint64_t size() const override { return data_.size(); }
   size_t pread(uint64_t offset, std::span<uint8_t> out) override {
-    if (offset >= data_.size()) return 0;
+    if (offset >= data_.size() || out.empty()) return 0;
     const size_t n = std::min<uint64_t>(out.size(), data_.size() - offset);
     std::memcpy(out.data(), data_.data() + offset, n);
     return n;
@@ -412,7 +414,7 @@ class MmapSource final : public ByteSource {
   bool seekable() const override { return true; }
   uint64_t size() const override { return size_; }
   size_t pread(uint64_t offset, std::span<uint8_t> out) override {
-    if (offset >= size_) return 0;
+    if (offset >= size_ || out.empty()) return 0;
     const size_t n = std::min<uint64_t>(out.size(), size_ - offset);
     std::memcpy(out.data(), data_ + offset, n);
     return n;
@@ -522,6 +524,7 @@ class ConcatSource final : public ByteSource {
       : head_(head), tail_(tail) {}
 
   size_t read(std::span<uint8_t> out) override {
+    if (out.empty()) return 0;
     if (pos_ < head_.size()) {
       const size_t n = std::min(out.size(), head_.size() - pos_);
       std::memcpy(out.data(), head_.data() + pos_, n);
@@ -725,16 +728,25 @@ class FrameSpool final : public ByteSink {
   /// Total bytes spooled so far.
   uint64_t size() const { return size_; }
 
-  /// Copies every spooled byte into `out` (fixed-size blocks for the
-  /// temp-file backing) and resets the spool to empty.  Call at most
-  /// once per filling.
-  void replay(ByteSink& out);
+  /// Copies every spooled byte into `out` and resets the spool to empty.
+  void replay(ByteSink& out) {
+    while (replay_block(out)) {
+    }
+  }
+
+  /// Copies the next block of spooled bytes into `out` — one write()'s
+  /// worth for the memory backing (freed as it goes, so replaying never
+  /// holds the bytes twice), a fixed-size block for the temp file.
+  /// Returns false, with the spool reset to empty, once nothing is left.
+  bool replay_block(ByteSink& out);
 
  private:
   Backing backing_;
-  Bytes mem_;
+  std::deque<Bytes> mem_;
   std::FILE* file_ = nullptr;
   uint64_t size_ = 0;
+  uint64_t replayed_ = 0;  ///< temp file: bytes already copied out
+  Bytes block_;            ///< temp file: read-back buffer
 };
 
 }  // namespace szsec

@@ -1,71 +1,79 @@
 #include "core/sansio.h"
 
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
+#include <deque>
 
+#include "archive/chunk_machine.h"
 #include "core/container.h"
 #include "parallel/slab.h"
 
 namespace szsec::sansio {
 namespace {
 
-/// Handoff-buffer bound per direction.  Large enough that a whole v2
-/// header and any frame prelude moves in one hop, small enough that a
-/// Context's overhead stays negligible next to the codec's own window.
-constexpr size_t kPipeCapacity = size_t{1} << 20;
+/// Output bytes waiting to be pulled, in the order they were written.
+class OutputQueue final : public ByteSink {
+ public:
+  void write(BytesView data) override {
+    if (!data.empty()) blocks_.emplace_back(data.begin(), data.end());
+  }
 
-/// Internal unwind token thrown into the driver when the Context is
-/// destroyed mid-run; never escapes to the caller.
-struct AbortPump {};
+  bool empty() const { return blocks_.empty(); }
+
+  /// Moves up to out.size() queued bytes into `out`; returns the count.
+  size_t read(std::span<uint8_t> out) {
+    size_t n = 0;
+    while (n < out.size() && !blocks_.empty()) {
+      const Bytes& front = blocks_.front();
+      const size_t take = std::min(out.size() - n, front.size() - pos_);
+      std::memcpy(out.data() + n, front.data() + pos_, take);
+      n += take;
+      pos_ += take;
+      if (pos_ == front.size()) {
+        blocks_.pop_front();
+        pos_ = 0;
+      }
+    }
+    return n;
+  }
+
+ private:
+  std::deque<Bytes> blocks_;
+  size_t pos_ = 0;  ///< bytes of the front block already pulled
+};
 
 }  // namespace
 
-// The machine is a driver thread running the existing streaming codec
-// against two bounded in-memory pipes.  The caller-facing calls move
-// bytes across the pipes and then wait for a *stable* state: the driver
-// produced output, is parked waiting for input the caller has not fed,
-// finished, or failed.  Only then do they return, so to a
-// single-threaded caller the Context behaves as a pure state machine —
-// the thread is an implementation detail (the chunked codec it hosts
-// already fans out across workers), not part of the contract, and no
-// byte ever touches a file descriptor.
+// The machine runs on the caller: every call does its work before it
+// returns.  A v3 Context drives the archive's push-driven chunk machine
+// (archive/chunk_machine.h), feeding caller bytes only while no output is
+// pending, so it holds at most one commit's output.  v1/v2 are one-shot
+// formats: the Context buffers the field (encode) or container (decode)
+// and runs the codec once the field is complete or at finish().
 struct Context::Impl {
   bool is_encoder = false;
   EncoderConfig enc;
   DecoderConfig dec;
 
-  std::mutex mu;
-  std::condition_variable caller_cv;  ///< driver -> caller wakeups
-  std::condition_variable driver_cv;  ///< caller -> driver wakeups
+  OutputQueue out;
+  /// Context-private IV generator (encode with drbg_seed).
+  std::optional<crypto::CtrDrbg> drbg;
+  /// v1/v2 encode: the codec runtime, built (and the config validated)
+  /// at construction.
+  std::optional<core::codec::CodecRuntime> runtime;
+  /// v1/v2: the buffered field (encode) or container (decode).
+  Bytes buf;
+  uint64_t expected_in = 0;  ///< encoder: declared field byte count
+  std::unique_ptr<archive::ChunkMachine> machine;  ///< v3 only
+  archive::ChunkedEncoder* encoder = nullptr;
+  archive::ChunkedDecoder* decoder = nullptr;
+  archive::ChunkedSalvager* salvager = nullptr;
 
-  // Input pipe (caller feeds, driver reads).  `in_pos` is the driver's
-  // read offset; the buffer compacts whenever it drains.
-  Bytes in_buf;
-  size_t in_pos = 0;
-  bool in_eof = false;  ///< finish() called: no more input will come
-
-  // Output pipe (driver writes, caller pulls).
-  Bytes out_buf;
-  size_t out_pos = 0;
-
-  bool driver_wants_input = false;  ///< driver parked in read() on empty in
-  bool driver_done = false;         ///< driver returned successfully
-  uint64_t expected_in = 0;         ///< encoder: declared field byte count
-  bool aborted = false;             ///< destructor tearing down
-  bool finished = false;            ///< finish() was called
-  bool dead = false;                ///< an error already surfaced
-  std::exception_ptr error;
-
+  bool finished = false;  ///< finish() was called
+  bool ran = false;       ///< v1/v2: the one-shot codec ran
+  bool dead = false;      ///< an error already surfaced
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   Result result;
-
-  std::thread driver;
-
-  size_t in_pending() const { return in_buf.size() - in_pos; }
-  size_t out_pending() const { return out_buf.size() - out_pos; }
 
   void check_alive() const {
     if (dead) {
@@ -74,303 +82,139 @@ struct Context::Impl {
     }
   }
 
-  /// Blocks until the machine reaches a state the caller can act on.
-  /// The in_eof guard matters: after finish() a parked driver is about
-  /// to wake, observe end-of-stream, and move on — "wants input" is no
-  /// longer a stable answer.
-  void wait_stable(std::unique_lock<std::mutex>& lk) {
-    caller_cv.wait(lk, [&] {
-      return error != nullptr || driver_done || out_pending() > 0 ||
-             (driver_wants_input && in_pending() == 0 && !in_eof);
-    });
-  }
+  bool done() const { return machine ? machine->done() : ran; }
 
-  /// Rethrows a pending driver error (once; the context is dead after).
-  void surface_error() {
-    if (error != nullptr) {
-      dead = true;
-      std::rethrow_exception(error);
-    }
-  }
-
-  Status status_locked() const {
-    if (out_pending() > 0) return Status::kHaveOutput;
-    if (driver_done) return Status::kDone;
+  Status status_now() const {
+    if (!out.empty()) return Status::kHaveOutput;
+    if (done()) return Status::kDone;
     return Status::kNeedInput;
   }
 
-  void start() {
-    driver = std::thread([this] { run(); });
-  }
-
-  void shutdown() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      aborted = true;
-      driver_cv.notify_all();
+  /// Runs pending machine work until output is waiting, the machine
+  /// needs input, or it is done — the stable states a caller sees.
+  void settle() {
+    while (machine && out.empty() && machine->step()) {
     }
-    if (driver.joinable()) driver.join();
   }
 
-  void run();
-  void run_encode(ByteSource& src, ByteSink& sink, Result& r);
-  void run_decode(ByteSource& src, ByteSink& sink, Result& r);
-
-  class PumpSource;
-  class PumpSink;
+  size_t accept(BytesView in);
+  void start_decoder();
+  void encode_oneshot();
+  void decode_oneshot();
+  void collect();
 };
 
-/// The driver's view of the input pipe.  Blocks while the pipe is empty
-/// and more input may come; a short read is normal, 0 means the caller
-/// called finish().
-class Context::Impl::PumpSource final : public ByteSource {
- public:
-  explicit PumpSource(Context::Impl& s) : s_(s) {}
-
-  size_t read(std::span<uint8_t> out) override {
-    if (out.empty()) return 0;
-    std::unique_lock<std::mutex> lk(s_.mu);
-    while (s_.in_pending() == 0 && !s_.in_eof && !s_.aborted) {
-      s_.driver_wants_input = true;
-      s_.caller_cv.notify_all();
-      s_.driver_cv.wait(lk);
+/// Takes what it can of `in` while no output is pending.
+size_t Context::Impl::accept(BytesView in) {
+  size_t taken = 0;
+  while (taken < in.size() && out.empty()) {
+    if (machine) {
+      if (machine->step()) continue;
+      const std::span<uint8_t> span = machine->want();
+      if (span.empty()) return in.size();  // bytes after a v3 archive
+      const size_t n = std::min(span.size(), in.size() - taken);
+      std::memcpy(span.data(), in.data() + taken, n);
+      machine->filled(n);
+      taken += n;
+      continue;
     }
-    s_.driver_wants_input = false;
-    if (s_.aborted) throw AbortPump{};
-    const size_t n = std::min(out.size(), s_.in_pending());
-    if (n == 0) return 0;  // end of stream
-    std::memcpy(out.data(), s_.in_buf.data() + s_.in_pos, n);
-    s_.in_pos += n;
-    if (s_.in_pos == s_.in_buf.size()) {
-      s_.in_buf.clear();
-      s_.in_pos = 0;
+    // v1/v2, or a decoder still sniffing the magic: buffer.
+    size_t n = in.size() - taken;
+    if (!is_encoder && buf.size() < sizeof(uint32_t)) {
+      n = std::min(n, sizeof(uint32_t) - buf.size());
     }
-    s_.caller_cv.notify_all();
-    return n;
+    buf.insert(buf.end(), in.begin() + taken, in.begin() + taken + n);
+    taken += n;
+    if (is_encoder && buf.size() == expected_in) encode_oneshot();
+    if (!is_encoder && buf.size() == sizeof(uint32_t)) start_decoder();
   }
-
- private:
-  Context::Impl& s_;
-};
-
-/// The driver's view of the output pipe.  Blocks while the pipe is full
-/// — backpressure from a caller who has not pulled yet.
-class Context::Impl::PumpSink final : public ByteSink {
- public:
-  explicit PumpSink(Context::Impl& s) : s_(s) {}
-
-  void write(BytesView data) override {
-    std::unique_lock<std::mutex> lk(s_.mu);
-    size_t done = 0;
-    while (done < data.size()) {
-      if (s_.aborted) throw AbortPump{};
-      const size_t pending = s_.out_pending();
-      const size_t space =
-          pending < kPipeCapacity ? kPipeCapacity - pending : 0;
-      if (space == 0) {
-        s_.driver_cv.wait(lk);
-        continue;
-      }
-      const size_t n = std::min(space, data.size() - done);
-      s_.out_buf.insert(s_.out_buf.end(), data.begin() + done,
-                        data.begin() + done + n);
-      done += n;
-      s_.caller_cv.notify_all();
-    }
-  }
-
- private:
-  Context::Impl& s_;
-};
-
-namespace {
-
-/// Reads the rest of `src` into `into` (which already holds the sniffed
-/// prefix) — the slurp for the one-shot v1/v2 formats.
-void slurp_remainder(ByteSource& src, Bytes& into) {
-  uint8_t block[64 * 1024];
-  while (true) {
-    const size_t n = src.read(block);
-    if (n == 0) break;
-    into.insert(into.end(), block, block + n);
-  }
+  return taken;
 }
 
-void emit_elements(ByteSink& sink, const core::DecompressResult& r) {
-  if (r.dtype == sz::DType::kFloat32) {
-    sink.write(BytesView(reinterpret_cast<const uint8_t*>(r.f32.data()),
-                         r.f32.size() * sizeof(float)));
-  } else {
-    sink.write(BytesView(reinterpret_cast<const uint8_t*>(r.f64.data()),
-                         r.f64.size() * sizeof(double)));
-  }
-}
-
-}  // namespace
-
-void Context::Impl::run() {
-  try {
-    PumpSource src(*this);
-    PumpSink sink(*this);
-    Result local;
-    if (is_encoder) {
-      run_encode(src, sink, local);
-    } else {
-      run_decode(src, sink, local);
-    }
-    std::lock_guard<std::mutex> lk(mu);
-    result = std::move(local);
-    driver_done = true;
-    caller_cv.notify_all();
-  } catch (const AbortPump&) {
-    // Destructor teardown: nobody is listening.
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(mu);
-    error = std::current_exception();
-    caller_cv.notify_all();
-  }
-}
-
-void Context::Impl::run_encode(ByteSource& src, ByteSink& sink, Result& r) {
-  crypto::CtrDrbg seeded(enc.drbg_seed.value_or(0));
-  crypto::CtrDrbg* drbg = enc.drbg_seed ? &seeded : nullptr;
-  r.container = enc.container;
-  r.dtype = enc.dtype;
-  r.dims = enc.dims;
-  r.elements = enc.dims.count();
-
-  if (enc.container == Container::kV3Chunked) {
-    archive::ChunkedConfig cc;
-    cc.threads = enc.threads;
-    cc.chunks = enc.chunks;
-    // A temp-file spool would be a library-initiated syscall; the
-    // sans-io contract forbids it, so frames stage in memory.
-    cc.spool = FrameSpool::Backing::kMemory;
-    cc.seek_table = enc.seek_table;
-    const archive::ChunkedStreamResult res = archive::compress_chunked_stream(
-        src, sink, enc.dtype, enc.dims, enc.params, enc.scheme, enc.key,
-        enc.spec, cc, drbg);
-    r.chunk_count = res.chunk_count;
-    r.stats = res.stats;
-    r.times = res.times;
-    return;
-  }
-
-  // v2 / v1 are one-shot formats: buffer the whole field, then emit.
-  const size_t total = enc.dims.count() * sz::dtype_size(enc.dtype);
-  Bytes field(total);
-  const size_t got = read_full(src, field);
-  if (got < total) {
-    throw IoError("input ended after " + std::to_string(got) + " of " +
-                  std::to_string(total) + " field bytes");
-  }
-
-  if (enc.container == Container::kV2Single) {
-    const core::codec::CodecRuntime rt(enc.params, enc.scheme, enc.key,
-                                       enc.spec);
-    core::CompressResult res;
-    if (enc.dtype == sz::DType::kFloat32) {
-      res = core::codec::encode_payload_to(
-          rt.config(), sink,
-          std::span<const float>(reinterpret_cast<const float*>(field.data()),
-                                 enc.dims.count()),
-          enc.dims, drbg);
-    } else {
-      res = core::codec::encode_payload_to(
-          rt.config(), sink,
-          std::span<const double>(
-              reinterpret_cast<const double*>(field.data()),
-              enc.dims.count()),
-          enc.dims, drbg);
-    }
-    r.stats = res.stats;
-    r.times = res.times;
-    return;
-  }
-
-  parallel::SlabConfig sc;
-  sc.threads = enc.threads;
-  sc.slabs = enc.chunks;
-  parallel::SlabCompressResult res;
-  if (enc.dtype == sz::DType::kFloat32) {
-    res = parallel::compress_slabs_to(
-        sink,
-        std::span<const float>(reinterpret_cast<const float*>(field.data()),
-                               enc.dims.count()),
-        enc.dims, enc.params, enc.scheme, enc.key, enc.spec, sc, drbg);
-  } else {
-    res = parallel::compress_slabs_to(
-        sink,
-        std::span<const double>(reinterpret_cast<const double*>(field.data()),
-                                enc.dims.count()),
-        enc.dims, enc.params, enc.scheme, enc.key, enc.spec, sc, drbg);
-  }
-  r.chunk_count = res.slab_count;
-  r.stats = res.stats;
-}
-
-void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
-  uint8_t magic_bytes[4];
-  if (read_full(src, magic_bytes) < sizeof(magic_bytes)) {
-    throw CorruptError("input too short for a container magic");
-  }
+/// Switches a decoder to the v3 chunk machine once the magic says so.
+void Context::Impl::start_decoder() {
   uint32_t magic = 0;
-  std::memcpy(&magic, magic_bytes, sizeof(magic));
-
-  if (magic == archive::kChunkedMagic) {
-    r.container = Container::kV3Chunked;
-    ConcatSource whole(BytesView(magic_bytes), src);
-    if (dec.salvage) {
-      archive::SalvageOptions so;
-      so.fill = dec.fill;
-      so.threads = dec.threads;
-      const archive::ChunkedStreamSalvageResult res =
-          archive::salvage_chunked_stream(whole, sink, dec.key, so);
-      r.dims = res.dims;
-      r.dtype = res.dtype;
-      r.elements = res.dims.rank() > 0 ? res.dims.count() : 0;
-      r.chunk_count = res.report.chunks_expected;
-      r.salvage = res.report;
-    } else {
-      archive::ChunkedConfig cc;
-      cc.threads = dec.threads;
-      cc.metrics = &r.times;
-      const archive::ChunkedStreamDecodeResult res =
-          archive::decompress_chunked_stream(whole, sink, dec.key, cc);
-      r.dims = res.dims;
-      r.dtype = res.dtype;
-      r.elements = res.elements;
-    }
-    return;
+  std::memcpy(&magic, buf.data(), sizeof(magic));
+  if (magic != archive::kChunkedMagic) return;
+  result.container = Container::kV3Chunked;
+  if (dec.salvage) {
+    archive::SalvageOptions so;
+    so.fill = dec.fill;
+    so.threads = dec.threads;
+    auto m = std::make_unique<archive::ChunkedSalvager>(out, dec.key, so);
+    salvager = m.get();
+    machine = std::move(m);
+  } else {
+    archive::ChunkedConfig cc;
+    cc.threads = dec.threads;
+    cc.metrics = &result.times;
+    auto m = std::make_unique<archive::ChunkedDecoder>(out, dec.key, cc);
+    decoder = m.get();
+    machine = std::move(m);
   }
+  machine->feed(BytesView(buf));
+  buf = Bytes();
+}
 
-  // One-shot formats: the whole container must be in hand to decode.
-  Bytes whole(magic_bytes, magic_bytes + sizeof(magic_bytes));
-  slurp_remainder(src, whole);
+void Context::Impl::encode_oneshot() {
+  crypto::CtrDrbg* iv = drbg ? &*drbg : nullptr;
+  const size_t n = enc.dims.count();
+  const auto* f32 = reinterpret_cast<const float*>(buf.data());
+  const auto* f64 = reinterpret_cast<const double*>(buf.data());
+  const bool single = enc.dtype == sz::DType::kFloat32;
+  if (enc.container == Container::kV2Single) {
+    const core::CompressResult res =
+        single ? core::codec::encode_payload_to(
+                     runtime->config(), out, std::span<const float>(f32, n),
+                     enc.dims, iv)
+               : core::codec::encode_payload_to(
+                     runtime->config(), out,
+                     std::span<const double>(f64, n), enc.dims, iv);
+    result.stats = res.stats;
+    result.times = res.times;
+  } else {
+    parallel::SlabConfig sc;
+    sc.threads = enc.threads;
+    sc.slabs = enc.chunks;
+    const parallel::SlabCompressResult res =
+        single ? parallel::compress_slabs_to(
+                     out, std::span<const float>(f32, n), enc.dims,
+                     enc.params, enc.scheme, enc.key, enc.spec, sc, iv)
+               : parallel::compress_slabs_to(
+                     out, std::span<const double>(f64, n), enc.dims,
+                     enc.params, enc.scheme, enc.key, enc.spec, sc, iv);
+    result.chunk_count = res.slab_count;
+    result.stats = res.stats;
+  }
+  buf = Bytes();
+  ran = true;
+}
 
+void Context::Impl::decode_oneshot() {
+  SZSEC_CHECK_FORMAT(buf.size() >= sizeof(uint32_t),
+                     "input too short for a container magic");
+  uint32_t magic = 0;
+  std::memcpy(&magic, buf.data(), sizeof(magic));
   if (magic == core::kMagic) {
-    const core::Header h = core::peek_header(whole);
+    const core::Header h = core::peek_header(buf);
     const core::CipherSpec spec{
         h.cipher_kind, h.cipher_mode,
         (h.flags & core::kFlagAuthenticated) != 0};
     const core::codec::CodecRuntime rt(h.params, h.scheme, dec.key, spec);
     const core::DecompressResult res =
-        core::codec::decode_payload(rt.config(), whole);
-    r.container = Container::kV2Single;
-    r.dims = res.dims;
-    r.dtype = res.dtype;
-    r.elements = res.dims.count();
-    r.times = res.times;
-    emit_elements(sink, res);
-    return;
-  }
-
-  if (magic == parallel::kArchiveMagic) {
-    const Dims dims = parallel::archive_dims(whole);
+        core::codec::decode_payload(rt.config(), buf);
+    result.container = Container::kV2Single;
+    result.dims = res.dims;
+    result.dtype = res.dtype;
+    result.elements = res.dims.count();
+    result.times = res.times;
+    out.write(archive::element_bytes(res));
+  } else if (magic == parallel::kArchiveMagic) {
+    const Dims dims = parallel::archive_dims(buf);
     // The archive prelude carries no dtype; the first slab's container
     // header does.  Walk to it (decompress_slabs_* re-validates all of
     // this strictly).
-    ByteReader pr(whole);
+    ByteReader pr(buf);
     pr.get_u32();  // magic
     pr.get_u8();   // version
     const uint8_t rank = pr.get_u8();
@@ -384,47 +228,86 @@ void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
         core::peek_header(pr.get_bytes(static_cast<size_t>(len)));
     parallel::SlabConfig sc;
     sc.threads = dec.threads;
-    r.container = Container::kV1Slab;
-    r.dims = dims;
-    r.dtype = h0.dtype;
-    r.elements = dims.count();
-    r.chunk_count = static_cast<size_t>(slabs);
+    result.container = Container::kV1Slab;
+    result.dims = dims;
+    result.dtype = h0.dtype;
+    result.elements = dims.count();
+    result.chunk_count = static_cast<size_t>(slabs);
     if (h0.dtype == sz::DType::kFloat32) {
       const std::vector<float> field =
-          parallel::decompress_slabs_f32(whole, dec.key, sc);
-      sink.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                           field.size() * sizeof(float)));
+          parallel::decompress_slabs_f32(buf, dec.key, sc);
+      out.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
+                          field.size() * sizeof(float)));
     } else {
       const std::vector<double> field =
-          parallel::decompress_slabs_f64(whole, dec.key, sc);
-      sink.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                           field.size() * sizeof(double)));
+          parallel::decompress_slabs_f64(buf, dec.key, sc);
+      out.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
+                          field.size() * sizeof(double)));
     }
-    return;
+  } else {
+    throw CorruptError("unknown container magic");
   }
+  buf = Bytes();
+  ran = true;
+}
 
-  throw CorruptError("unknown container magic");
+/// Copies the v3 machine's outcome into the result once it is done.
+void Context::Impl::collect() {
+  if (encoder != nullptr) {
+    const archive::ChunkedStreamResult& r = encoder->result();
+    result.chunk_count = r.chunk_count;
+    result.stats = r.stats;
+    result.times = r.times;
+  } else if (decoder != nullptr) {
+    const archive::ChunkedStreamDecodeResult& r = decoder->result();
+    result.dims = r.dims;
+    result.dtype = r.dtype;
+    result.elements = r.elements;
+    result.chunk_count = r.chunk_count;
+  } else if (salvager != nullptr) {
+    const archive::ChunkedStreamSalvageResult& r = salvager->result();
+    result.dims = r.dims;
+    result.dtype = r.dtype;
+    result.elements = r.dims.rank() > 0 ? r.dims.count() : 0;
+    result.chunk_count = r.report.chunks_expected;
+    result.salvage = r.report;
+  }
 }
 
 Context::Context(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
-Context::~Context() {
-  if (impl_) impl_->shutdown();
-}
+Context::~Context() = default;
 
 std::unique_ptr<Context> Context::encoder(EncoderConfig config) {
   SZSEC_REQUIRE(config.dims.rank() >= 1, "encoder requires field dims");
-  // Validate key/scheme/spec now, exactly as every other entry point
-  // does — a misconfigured context must never accept a byte.
-  const core::codec::CodecRuntime probe(config.params, config.scheme,
-                                        config.key, config.spec);
-  (void)probe;
   auto impl = std::make_unique<Impl>();
-  impl->is_encoder = true;
-  impl->enc = std::move(config);
-  impl->expected_in =
-      impl->enc.dims.count() * sz::dtype_size(impl->enc.dtype);
-  impl->start();
+  Impl& s = *impl;
+  s.is_encoder = true;
+  s.enc = std::move(config);
+  s.expected_in = s.enc.dims.count() * sz::dtype_size(s.enc.dtype);
+  if (s.enc.drbg_seed) s.drbg.emplace(*s.enc.drbg_seed);
+  s.result.container = s.enc.container;
+  s.result.dtype = s.enc.dtype;
+  s.result.dims = s.enc.dims;
+  s.result.elements = s.enc.dims.count();
+  // Building the codec (runtime or chunk machine) validates the key,
+  // scheme and spec: a misconfigured context never accepts a byte.
+  if (s.enc.container == Container::kV3Chunked) {
+    archive::ChunkedConfig cc;
+    cc.threads = s.enc.threads;
+    cc.chunks = s.enc.chunks;
+    // A temp-file spool would be a library-initiated syscall; the
+    // sans-io contract forbids it, so frames stage in memory.
+    cc.spool = FrameSpool::Backing::kMemory;
+    cc.seek_table = s.enc.seek_table;
+    auto m = std::make_unique<archive::ChunkedEncoder>(
+        s.out, s.enc.dtype, s.enc.dims, s.enc.params, s.enc.scheme,
+        s.enc.key, s.enc.spec, cc, s.drbg ? &*s.drbg : nullptr);
+    s.encoder = m.get();
+    s.machine = std::move(m);
+  } else {
+    s.runtime.emplace(s.enc.params, s.enc.scheme, s.enc.key, s.enc.spec);
+  }
   return std::unique_ptr<Context>(new Context(std::move(impl)));
 }
 
@@ -433,102 +316,94 @@ std::unique_ptr<Context> Context::decoder(DecoderConfig config) {
       !(config.salvage && config.fill == archive::FallbackFill::kMean),
       "streaming salvage cannot use the mean fill; use zeros or NaN");
   auto impl = std::make_unique<Impl>();
-  impl->is_encoder = false;
   impl->dec = std::move(config);
-  impl->start();
   return std::unique_ptr<Context>(new Context(std::move(impl)));
 }
 
 Status Context::feed(BytesView in, size_t& consumed) {
   Impl& s = *impl_;
   consumed = 0;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
   if (s.finished) throw StateError("feed after finish()");
-  // Encoder surplus input is a caller bug flagged here, at the feed
-  // that crosses the declared field length — checking against the
-  // up-front total keeps the error deterministic regardless of how far
-  // the driver has progressed.  Decoders instead tolerate trailing
-  // bytes (a v3 seek footer is legitimate trailing input to the strict
-  // stream decoder, exactly as with the streaming CLI).
-  if (s.is_encoder && s.bytes_in + in.size() > s.expected_in) {
-    s.error = std::make_exception_ptr(
-        Error("trailing input: " +
-              std::to_string(s.bytes_in + in.size() - s.expected_in) +
-              " bytes fed beyond the declared field"));
-    s.surface_error();
+  try {
+    // Encoder surplus input is a caller bug flagged here, at the feed
+    // that crosses the declared field length.  Decoders instead
+    // tolerate trailing bytes (a v3 seek footer is legitimate trailing
+    // input to the strict decoder, exactly as with the streaming CLI).
+    if (s.is_encoder && s.bytes_in + in.size() > s.expected_in) {
+      throw Error("trailing input: " +
+                  std::to_string(s.bytes_in + in.size() - s.expected_in) +
+                  " bytes fed beyond the declared field");
+    }
+    consumed = s.accept(in);
+    s.bytes_in += consumed;
+    s.settle();
+  } catch (...) {
+    s.dead = true;
+    throw;
   }
-  const size_t pending = s.in_pending();
-  const size_t space = pending < kPipeCapacity ? kPipeCapacity - pending : 0;
-  const size_t n = std::min(space, in.size());
-  if (n > 0) {
-    s.in_buf.insert(s.in_buf.end(), in.begin(), in.begin() + n);
-    s.bytes_in += n;
-    consumed = n;
-    s.driver_cv.notify_all();
-  }
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  return s.status_now();
 }
 
 Status Context::pull(std::span<uint8_t> out, size_t& produced) {
   Impl& s = *impl_;
   produced = 0;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
-  s.wait_stable(lk);
-  s.surface_error();
-  const size_t n = std::min(out.size(), s.out_pending());
-  if (n > 0) {
-    std::memcpy(out.data(), s.out_buf.data() + s.out_pos, n);
-    s.out_pos += n;
-    if (s.out_pos == s.out_buf.size()) {
-      s.out_buf.clear();
-      s.out_pos = 0;
-    }
-    s.bytes_out += n;
-    produced = n;
-    s.driver_cv.notify_all();
-    // Freed space may unblock the driver; settle again so the returned
-    // status is stable.
-    s.wait_stable(lk);
-    s.surface_error();
+  try {
+    produced = s.out.read(out);
+    s.bytes_out += produced;
+    s.settle();
+  } catch (...) {
+    s.dead = true;
+    throw;
   }
-  return s.status_locked();
+  return s.status_now();
 }
 
 Status Context::finish() {
   Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
   if (s.finished) throw StateError("finish() called twice");
   s.finished = true;
-  s.in_eof = true;
-  s.driver_cv.notify_all();
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  try {
+    if (s.machine) {
+      s.machine->finish();
+    } else if (s.is_encoder) {
+      if (!s.ran) {
+        throw IoError("input ended after " + std::to_string(s.buf.size()) +
+                      " of " + std::to_string(s.expected_in) +
+                      " field bytes");
+      }
+    } else {
+      s.decode_oneshot();
+    }
+    s.settle();
+  } catch (...) {
+    s.dead = true;
+    throw;
+  }
+  return s.status_now();
 }
 
 Status Context::status() {
   Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  try {
+    s.settle();
+  } catch (...) {
+    s.dead = true;
+    throw;
+  }
+  return s.status_now();
 }
 
 const Result& Context::result() const {
   Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
-  if (s.dead || s.error != nullptr) {
-    throw StateError("context failed; no result");
-  }
-  if (!s.driver_done || s.out_pending() > 0) {
+  if (s.dead) throw StateError("context failed; no result");
+  if (!s.done() || !s.out.empty()) {
     throw StateError("result() before the context is done");
   }
+  s.collect();
   s.result.bytes_in = s.bytes_in;
   s.result.bytes_out = s.bytes_out;
   return s.result;

@@ -29,28 +29,32 @@
 //     }
 //   }
 //
-// The machine reuses the existing streaming drivers unchanged —
-// codec::encode_payload_to for v2 containers, compress_slabs_to for v1
-// slab archives, archive::compress_chunked_stream /
-// decompress_chunked_stream / salvage_chunked_stream for v3 — so every
-// byte a Context emits is identical to the in-memory and streaming APIs
-// (the golden-container pins hold by construction).  Decoding sniffs
-// the container kind from the first four bytes: v1 slab, v2 single, and
-// v3 chunked archives all decode through one Context.
+// Every path runs the library's one implementation of its format: a v3
+// Context pushes bytes through the same chunk machines the streaming
+// and in-memory archive APIs drive (archive/chunk_machine.h), and v2/v1
+// run the one-shot codec (codec::encode_payload_to / decode_payload,
+// compress_slabs_to / decompress_slabs_*) — so every byte a Context
+// emits is identical to the in-memory and streaming APIs (the
+// golden-container pins hold by construction).  Decoding sniffs the
+// container kind from the first four bytes: v1 slab, v2 single, and v3
+// chunked archives all decode through one Context.
 //
-// Memory: v3 encode/decode hold the scheduler's in-flight window plus
-// the internal handoff buffers (a v3 encoder additionally stages frames
-// in memory until the index is written — the index precedes the frames
-// and the context has no temp file to spool through).  v2/v1 are
-// one-shot formats and buffer one whole field/container.
+// Memory: feed() takes no input while un-pulled output is pending, so a
+// v3 decode holds at most one chunk commit's output plus the
+// scheduler's in-flight window; a salvage decode writes fill rows in
+// bounded blocks.  A v3 encode stages its frames in memory until the
+// index is written (the index precedes the frames and the context has
+// no temp file to spool through), then hands them out one at a time as
+// they are pulled, freeing each — it never holds the archive twice.
+// v2/v1 are one-shot formats and buffer one whole field/container.
 //
-// Concurrency: a Context runs the codec on one internal driver thread
-// (the chunked paths fan out across ChunkedConfig::threads workers
-// exactly as the streaming APIs do).  The caller-facing API is not
+// Concurrency: there is no driver thread.  feed/pull/finish/status do
+// their work on the calling thread before they return, so the machine
+// is a plain state machine with no timing-dependent behaviour.  With
+// threads > 1 the chunked paths run chunk work on pool workers, exactly
+// as the streaming APIs do (commits still happen on the caller); with
+// threads = 1 no thread is started at all.  The caller-facing API is not
 // thread-safe: use one Context per thread, like SecureCompressor.
-// Every caller-facing call returns only in a *stable* state — the
-// machine either produced output, genuinely needs input, or finished —
-// so single-threaded callers can treat it as a pure state machine.
 //
 // Error model: codec failures (CorruptError, CryptoError, Error) and
 // transport-free IoErrors (truncated input) propagate out of
@@ -140,8 +144,7 @@ struct Result {
   uint64_t elements = 0;   ///< field elements consumed (encode) / emitted
   uint64_t bytes_in = 0;   ///< bytes accepted via feed()
   uint64_t bytes_out = 0;  ///< bytes drained via pull()
-  /// v1 slabs / v3 chunks (0 where the path does not report a count,
-  /// e.g. the strict v3 stream decode).
+  /// v1 slabs / v3 chunks (0 for a v2 container).
   size_t chunk_count = 0;
   core::CompressStats stats;  ///< encode only
   PipelineMetrics times;
@@ -157,7 +160,8 @@ class Context {
   static std::unique_ptr<Context> encoder(EncoderConfig config);
   static std::unique_ptr<Context> decoder(DecoderConfig config);
 
-  /// Destruction aborts an unfinished run and releases the driver.
+  /// Destruction abandons an unfinished run (queued chunk work is
+  /// skipped; running work finishes first).
   ~Context();
 
   Context(const Context&) = delete;
@@ -181,8 +185,8 @@ class Context {
   /// propagates codec errors (e.g. input ended mid-field).
   Status finish();
 
-  /// The current stable status (waits for the machine to settle; never
-  /// consumes or produces bytes).
+  /// The current stable status (runs pending work until the machine
+  /// settles; never consumes input or hands out output).
   Status status();
 
   /// Outcome of the run; throws StateError before status() == kDone.

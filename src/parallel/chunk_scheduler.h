@@ -1,28 +1,35 @@
-// Ordered, backpressured fan-out of per-chunk codec work.
+// Ordered, backpressured fan-out of per-chunk codec work, driven by
+// pushes from the caller.
 //
 // Archives are sequences of independently coded chunks, so the natural
 // parallel unit is "encode/decode one chunk" — but the archive bytes (and
 // every aggregate: stats, metrics, the index) must come out in chunk-index
-// order no matter which worker finishes first.  ParallelChunkScheduler
-// provides exactly that contract:
+// order no matter which worker finishes first.  The caller hands work to
+// ParallelChunkScheduler one chunk at a time with submit(produce), as its
+// input arrives, and ends a run with finish().  The contract:
 //
-//   * produce(worker, index) runs on a pool worker, any completion order;
-//   * commit(index, result) runs on the CALLING thread in strictly
-//     increasing index order — so commit-side state (an output buffer, a
-//     PipelineMetrics sink, floating-point stat accumulators) needs no
-//     locking and aggregates deterministically;
+//   * produce(worker, index) runs on a pool worker, any completion order.
+//     With one worker there is no pool and no thread: produce runs inline
+//     inside submit() with worker index 0, on the calling thread;
+//   * commit(index, result) runs on the CALLING thread, inside submit(),
+//     commit_next() or finish(), in strictly increasing index order — so
+//     commit-side state (an output sink, a PipelineMetrics sink,
+//     floating-point stat accumulators) needs no locking and aggregates
+//     deterministically;
 //   * at most window() indices are submitted-but-uncommitted at any
-//     moment.  This is backpressure: peak memory is O(window x chunk),
-//     independent of archive length and of how unevenly chunks complete
-//     (without it, one slow chunk 0 would let thousands of completed
-//     results pile up waiting to commit);
-//   * the worker argument of produce (ThreadPool::current_worker_index())
-//     indexes per-worker scratch state — BufferPool, RuntimeCache — so
-//     workers reuse buffers and key schedules without contending on a
-//     shared lock;
-//   * an exception from produce or commit stops new submissions, drains
-//     every in-flight task (workers never outlive the call's stack
-//     state), and is rethrown to the caller.
+//     moment: a submit() into a full window first commits the oldest
+//     chunk, waiting for it.  This is backpressure: peak memory is
+//     O(window x chunk), independent of archive length and of how
+//     unevenly chunks complete.  Each submit() commits at most one
+//     chunk, so a caller that stops pushing while output is pending
+//     holds at most one commit's output;
+//   * the worker argument of produce indexes per-worker scratch state —
+//     BufferPool, RuntimeCache — in [0, thread_count()), so workers
+//     reuse buffers and key schedules without contending on a lock;
+//   * the first exception from produce or commit stops the run: queued
+//     work is skipped, running work drains (workers never outlive the
+//     caller's state), and the exception is rethrown to the caller —
+//     from the call that observes it and from every call after.
 //
 // Determinism note: the scheduler never changes WHAT is computed, only
 // WHEN.  Chunked archive bytes are identical for any thread count because
@@ -45,8 +52,9 @@ namespace szsec::parallel {
 
 /// Construction-time knobs of a ParallelChunkScheduler.
 struct ChunkSchedulerConfig {
-  /// Worker threads (0 = default_thread_count(), which honors the
-  /// SZSEC_THREADS environment variable).
+  /// Workers (0 = default_thread_count(), which honors the SZSEC_THREADS
+  /// environment variable).  One worker runs every chunk inline on the
+  /// calling thread; more start a private ThreadPool.
   unsigned threads = 0;
   /// Backpressure window: maximum chunks submitted but not yet committed
   /// (0 = 2x threads).  Smaller bounds memory tighter; larger absorbs
@@ -54,154 +62,185 @@ struct ChunkSchedulerConfig {
   size_t max_in_flight = 0;
 };
 
-/// Fans per-chunk work onto a private ThreadPool with a bounded
-/// in-flight window and commits results on the calling thread in strict
-/// chunk-index order (see the file comment for the full contract).
-/// Reusable: run_ordered may be called any number of times.
+/// Runs pushed per-chunk work on a bounded in-flight window and commits
+/// results on the calling thread in strict chunk-index order (see the
+/// file comment for the full contract).  Reusable: after finish(), the
+/// next submit() starts a new run at index 0.
+template <typename Result>
 class ParallelChunkScheduler {
  public:
-  /// Spawns the worker pool; both config fields accept 0 for defaults.
-  explicit ParallelChunkScheduler(const ChunkSchedulerConfig& config = {})
-      : pool_(config.threads),
+  using Produce = std::function<Result(size_t worker, size_t index)>;
+  using Commit = std::function<void(size_t index, Result&& result)>;
+
+  /// Resolves the worker count and window (both accept 0 for defaults)
+  /// and starts the pool when there is more than one worker.
+  ParallelChunkScheduler(const ChunkSchedulerConfig& config, Commit commit)
+      : threads_(config.threads != 0 ? config.threads
+                                     : default_thread_count()),
         window_(config.max_in_flight != 0 ? config.max_in_flight
-                                          : 2 * pool_.thread_count()) {}
-
-  /// Worker threads in the underlying pool.
-  size_t thread_count() const { return pool_.thread_count(); }
-  /// Resolved backpressure window (submitted-but-uncommitted bound).
-  size_t window() const { return window_; }
-
-  /// Runs produce(worker, index) for every index in [0, n) across the
-  /// pool and feeds each result to commit(index, result) on this thread
-  /// in strictly increasing index order, holding at most window() chunks
-  /// in flight.  `worker` is in [0, thread_count()).  The first
-  /// exception thrown by produce or commit aborts the run (no further
-  /// submissions or commits), is held until every in-flight task has
-  /// drained, and is then rethrown here.
-  template <typename Result>
-  void run_ordered(size_t n,
-                   const std::function<Result(size_t, size_t)>& produce,
-                   const std::function<void(size_t, Result&&)>& commit) {
-    struct Nothing {};
-    run_ordered_fed<Nothing, Result>(
-        n, [](size_t) { return Nothing{}; },
-        [&produce](size_t worker, size_t index, Nothing&&) {
-          return produce(worker, index);
-        },
-        commit);
+                                          : 2 * threads_),
+        commit_(std::move(commit)) {
+    if (threads_ > 1) {
+      shared_ = std::make_shared<Shared>();
+      pool_ = std::make_unique<ThreadPool>(static_cast<unsigned>(threads_));
+    }
   }
 
-  /// run_ordered with a chunk *producer*: feed(index) runs on the
-  /// CALLING thread, in strictly increasing index order, immediately
-  /// before index is submitted to the pool — so a sequential input
-  /// stream (a pipe, a file) can be cut into chunks without pre-reading
-  /// the whole input.  Its return value is handed to produce on the
-  /// worker.  At most window() fed inputs + uncommitted results exist at
-  /// any moment, which is the streaming codec's memory bound:
-  ///   peak ~= window x (fed chunk + produced result).
-  /// Exception contract matches run_ordered; feed exceptions abort the
-  /// run the same way.
-  template <typename Input, typename Result>
-  void run_ordered_fed(
-      size_t n, const std::function<Input(size_t)>& feed,
-      const std::function<Result(size_t, size_t, Input&&)>& produce,
-      const std::function<void(size_t, Result&&)>& commit) {
-    if (n == 0) return;
-    // Completion state lives on the heap, co-owned by every worker task:
-    // the drain wait below can return (and this frame unwind) the moment
-    // in_flight hits zero, while the worker that decremented it is still
-    // between releasing the mutex and its final notify — with stack
-    // state that last notify would touch a dead cv (a real
-    // stack-use-after-scope, caught by ASan under load).
-    struct Shared {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::map<size_t, Result> ready;  // completed, awaiting ordered commit
-      std::exception_ptr error;
-      size_t in_flight = 0;  // submitted, not yet completed
-    };
-    const auto st = std::make_shared<Shared>();
-    size_t next_submit = 0;
-    size_t next_commit = 0;
+  /// Skips queued work and joins the pool; running produce calls finish
+  /// first, so they never outlive state the caller destroys afterwards.
+  ~ParallelChunkScheduler() {
+    if (shared_) {
+      std::lock_guard<std::mutex> lock(shared_->mu);
+      shared_->abandon = true;
+    }
+  }
 
-    // Captures `st` by value: after the decrement a worker touches only
-    // shared state it co-owns.  `produce` stays a reference — it is only
-    // entered before the decrement, which the drain wait covers.
-    const auto run_one = [st, &produce](size_t index, Input& input) {
+  ParallelChunkScheduler(const ParallelChunkScheduler&) = delete;
+  ParallelChunkScheduler& operator=(const ParallelChunkScheduler&) = delete;
+
+  /// Workers, the calling thread included when there is only one.
+  size_t thread_count() const { return threads_; }
+  /// Resolved backpressure window (submitted-but-uncommitted bound).
+  size_t window() const { return window_; }
+  /// Chunks submitted in this run and not yet committed.
+  size_t in_flight() const { return next_submit_ - next_commit_; }
+
+  /// Submits the run's next index.  One worker: produce(0, index) and
+  /// its commit run here, now.  More: a full window first commits the
+  /// oldest chunk (waiting for it), then produce is queued on the pool.
+  void submit(Produce produce) {
+    rethrow_if_failed();
+    if (!pool_) {
+      const size_t index = next_submit_++;
       std::optional<Result> r;
       try {
-        r.emplace(produce(ThreadPool::current_worker_index(), index,
-                          std::move(input)));
+        r.emplace(produce(0, index));
       } catch (...) {
+        fail(std::current_exception());
+      }
+      commit_or_fail(next_commit_++, std::move(*r));
+      return;
+    }
+    if (in_flight() >= window_) commit_next();
+    const size_t index = next_submit_++;
+    {
+      std::lock_guard<std::mutex> lock(shared_->mu);
+      ++shared_->running;
+    }
+    // The task co-owns the shared state: after its final decrement it
+    // touches nothing else, and `produce` is entered only while the
+    // destructor or a drain still waits for it.
+    pool_->submit([st = shared_, produce = std::move(produce), index] {
+      std::optional<Result> r;
+      bool skip;
+      {
         std::lock_guard<std::mutex> lock(st->mu);
-        if (!st->error) st->error = std::current_exception();
+        skip = st->error != nullptr || st->abandon;
+      }
+      if (!skip) {
+        try {
+          r.emplace(produce(ThreadPool::current_worker_index(), index));
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(st->mu);
+          if (!st->error) st->error = std::current_exception();
+        }
       }
       {
         std::lock_guard<std::mutex> lock(st->mu);
         if (r.has_value()) st->ready.emplace(index, std::move(*r));
-        --st->in_flight;
+        --st->running;
       }
       st->cv.notify_all();
-    };
+    });
+  }
 
-    std::unique_lock<std::mutex> lock(st->mu);
-    while (next_commit < n && !st->error) {
-      // Keep the window full.  Feeding + submission happen unlocked
-      // (feed may block on input I/O; the pool has its own mutex).
-      while (next_submit < n && next_submit - next_commit < window_ &&
-             !st->error) {
-        const size_t index = next_submit++;
-        ++st->in_flight;
-        lock.unlock();
-        // The input rides to the worker in a shared_ptr: std::function
-        // requires copyable callables, and chunk inputs (large buffers)
-        // must move, not copy.  run_one is copied into the task for the
-        // same lifetime reason as `st` above.
-        std::shared_ptr<Input> input;
-        try {
-          input = std::make_shared<Input>(feed(index));
-        } catch (...) {
-          lock.lock();
-          if (!st->error) st->error = std::current_exception();
-          --st->in_flight;
-          break;
-        }
-        pool_.submit([run_one, index, input] { run_one(index, *input); });
-        lock.lock();
-      }
-      if (st->error) break;
-      st->cv.wait(lock, [&] {
-        return st->ready.count(next_commit) > 0 || st->error;
+  /// Commits the oldest uncommitted chunk, waiting for it; false when
+  /// nothing is in flight.
+  bool commit_next() {
+    rethrow_if_failed();
+    if (next_commit_ == next_submit_) return false;
+    std::optional<Result> r;
+    {
+      std::unique_lock<std::mutex> lock(shared_->mu);
+      shared_->cv.wait(lock, [&] {
+        return shared_->error != nullptr ||
+               shared_->ready.count(next_commit_) > 0;
       });
-      // Commit every contiguous ready result, unlocked (commit may do
-      // real work: appending frames, merging metrics).
-      while (!st->error) {
-        auto it = st->ready.find(next_commit);
-        if (it == st->ready.end()) break;
-        Result r = std::move(it->second);
-        st->ready.erase(it);
+      if (shared_->error) {
+        const std::exception_ptr e = shared_->error;
         lock.unlock();
-        try {
-          commit(next_commit, std::move(r));
-        } catch (...) {
-          lock.lock();
-          if (!st->error) st->error = std::current_exception();
-          break;
-        }
-        lock.lock();
-        ++next_commit;
+        fail(e);
       }
+      auto it = shared_->ready.find(next_commit_);
+      r.emplace(std::move(it->second));
+      shared_->ready.erase(it);
     }
-    // Drain before returning or rethrowing: in-flight tasks reference
-    // `produce` until their decrement, and the rethrow needs the final
-    // error value.
-    st->cv.wait(lock, [&] { return st->in_flight == 0; });
-    if (st->error) std::rethrow_exception(st->error);
+    commit_or_fail(next_commit_++, std::move(*r));
+    return true;
+  }
+
+  /// Commits every chunk still in flight and ends the run; the next
+  /// submit() starts again at index 0.
+  void finish() {
+    while (commit_next()) {
+    }
+    next_submit_ = 0;
+    next_commit_ = 0;
   }
 
  private:
-  ThreadPool pool_;
+  /// Completion state shared with pool tasks (heap-owned: a task may
+  /// still be between its final unlock and notify when the scheduler is
+  /// torn down).
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<size_t, Result> ready;  ///< produced, awaiting ordered commit
+    std::exception_ptr error;
+    size_t running = 0;  ///< queued or running tasks
+    bool abandon = false;
+  };
+
+  void commit_or_fail(size_t index, Result&& r) {
+    try {
+      commit_(index, std::move(r));
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  /// Records the run's first error, stops queued work, waits for running
+  /// work, and rethrows.
+  [[noreturn]] void fail(std::exception_ptr e) {
+    if (!error_) error_ = e;
+    if (shared_) {
+      std::unique_lock<std::mutex> lock(shared_->mu);
+      if (!shared_->error) shared_->error = error_;
+      shared_->cv.wait(lock, [&] { return shared_->running == 0; });
+    }
+    std::rethrow_exception(error_);
+  }
+
+  void rethrow_if_failed() {
+    if (error_) std::rethrow_exception(error_);
+    if (shared_) {
+      std::exception_ptr e;
+      {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        e = shared_->error;
+      }
+      if (e) fail(e);
+    }
+  }
+
+  size_t threads_;
   size_t window_;
+  Commit commit_;
+  size_t next_submit_ = 0;
+  size_t next_commit_ = 0;
+  std::exception_ptr error_;
+  std::shared_ptr<Shared> shared_;
+  std::unique_ptr<ThreadPool> pool_;  // last: joined before the rest dies
 };
 
 }  // namespace szsec::parallel

@@ -37,9 +37,24 @@ void replay_zlite(BytesView input);
 /// parse, strict f32/f64 decode, and salvage decode.
 void replay_chunked(BytesView input);
 
+/// Drives a sans-io Context through a fuzzer-chosen schedule.  Byte 0
+/// picks the run: bit 0 the direction (0 encode, 1 decode), bits 1-2 the
+/// container (0 v2, 1 v3, 2 v1, 3 v3), bit 3 salvage decode (v3 only),
+/// bit 4 a mutation, bit 5 two codec threads.  With bit 4 set, three
+/// bytes follow: an XOR mask (0 truncates instead) and a little-endian
+/// u16 position, both applied to the Context's input (a fixed small
+/// field, or its archive).  The remaining bytes pair up as (feed, pull)
+/// size codes: a code below 128 is that many bytes, any other is
+/// 1 << (code & 15); the pairs cycle, with zeros read as 1 after the
+/// first pass.  Oracle: intact input gives exactly the one-shot bytes;
+/// mutated input gives those bytes or a typed szsec::Error (a truncated
+/// encode must fail).  A crash, hang, untyped exception, StateError, or a
+/// machine that wants input after finish() aborts.
+void replay_sansio(BytesView input);
+
 /// Dispatches to the replay function for a corpus family name
-/// ("decode", "huffman", "zlite", "chunked"); unknown names run the
-/// input through every surface.
+/// ("decode", "huffman", "zlite", "chunked", "sansio"); unknown names
+/// run the input through every surface.
 void replay_family(const std::string& family, BytesView input);
 
 }  // namespace szsec::testing

@@ -394,6 +394,49 @@ TEST(CApiRoundTrip, DribbleStreamingMatchesOneShot) {
   szsec_buffer_free(oneshot);
 }
 
+TEST(CApiRoundTrip, StrictChunkedDecodeReportsChunkCount) {
+  const std::vector<float> field = test_field();
+  szsec_options o = base_options();
+  o.container = SZSEC_CONTAINER_V3_CHUNKED;
+  o.chunks = 3;
+  uint8_t* archive = nullptr;
+  size_t archive_len = 0;
+  ASSERT_EQ(szsec_compress(&o, kKey.data(), kKey.size(),
+                           reinterpret_cast<const uint8_t*>(field.data()),
+                           field.size() * sizeof(float), &archive,
+                           &archive_len),
+            SZSEC_OK);
+  uint8_t* plain = nullptr;
+  size_t plain_len = 0;
+  szsec_info info;
+  std::memset(&info, 0, sizeof(info));
+  info.struct_size = sizeof(info);
+  ASSERT_EQ(szsec_decompress(nullptr, kKey.data(), kKey.size(), archive,
+                             archive_len, &plain, &plain_len, &info),
+            SZSEC_OK);
+  EXPECT_EQ(plain_len, field.size() * sizeof(float));
+  EXPECT_EQ(info.container, SZSEC_CONTAINER_V3_CHUNKED);
+  EXPECT_EQ(info.chunk_count, 3u);
+  EXPECT_EQ(info.salvage_used, 0);
+  szsec_buffer_free(plain);
+  szsec_buffer_free(archive);
+}
+
+TEST(CApiRoundTrip, NullEmptyFeedIsANoOp) {
+  // (NULL, 0) is a valid empty feed: nothing is taken, nothing faults.
+  szsec_ctx* ctx = nullptr;
+  ASSERT_EQ(szsec_decoder_new(nullptr, nullptr, 0, &ctx), SZSEC_NEED_INPUT);
+  size_t consumed = 7;
+  EXPECT_EQ(szsec_feed(ctx, nullptr, 0, &consumed), SZSEC_NEED_INPUT);
+  EXPECT_EQ(consumed, 0u);
+  szsec_ctx_free(ctx);
+  szsec_options o = base_options();
+  ASSERT_GE(szsec_encoder_new(&o, kKey.data(), kKey.size(), &ctx), 0);
+  EXPECT_EQ(szsec_feed(ctx, nullptr, 0, &consumed), SZSEC_NEED_INPUT);
+  EXPECT_EQ(consumed, 0u);
+  szsec_ctx_free(ctx);
+}
+
 TEST(CApiRoundTrip, InfoBeforeDoneIsStateError) {
   szsec_options o = base_options();
   szsec_ctx* ctx = nullptr;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <random>
 
 #include "archive/chunked.h"
@@ -599,6 +600,179 @@ TEST(SansIo, DecoderToleratesTrailingBytes) {
   auto ctx = sansio::Context::decoder(dc);
   const Bytes got = pump(*ctx, archive, 4096, 4096);
   EXPECT_EQ(got.size(), kSmallDims.count() * sizeof(float));
+}
+
+TEST(SansIo, StrictV3DecodeReportsChunkCount) {
+  const Bytes archive = oneshot_encode(
+      core::Scheme::kEncrHuffman, sz::DType::kFloat32,
+      sansio::Container::kV3Chunked);
+  sansio::DecoderConfig dc;
+  dc.key = kKey;
+  auto ctx = sansio::Context::decoder(dc);
+  pump(*ctx, archive, 4096, 4096);
+  EXPECT_EQ(ctx->result().chunk_count, 3u);
+  EXPECT_EQ(ctx->result().container, sansio::Container::kV3Chunked);
+}
+
+TEST(SansIo, EmptyFeedIsANoOp) {
+  // A zero-length feed may carry a null pointer (the C ABI passes
+  // szsec_feed(ctx, NULL, 0) straight through); it must take nothing.
+  for (const sansio::Container c :
+       {sansio::Container::kV2Single, sansio::Container::kV3Chunked}) {
+    auto enc = sansio::Context::encoder(
+        encoder_config(core::Scheme::kNone, sz::DType::kFloat32, c));
+    size_t consumed = 99;
+    EXPECT_EQ(enc->feed(BytesView(), consumed), sansio::Status::kNeedInput);
+    EXPECT_EQ(consumed, 0u);
+  }
+  auto dec = sansio::Context::decoder({});
+  size_t consumed = 99;
+  EXPECT_EQ(dec->feed(BytesView(), consumed), sansio::Status::kNeedInput);
+  EXPECT_EQ(consumed, 0u);
+}
+
+TEST(SansIo, UnpulledV3DecodeHoldsOneCommit) {
+  // A decoder fed a whole archive without pulling stops taking input
+  // once a commit's output is pending: it holds one chunk's elements,
+  // never the field.
+  const Dims dims{24, 8, 10};
+  const std::vector<float> f = field_f32(dims, 7);
+  archive::ChunkedConfig cc;
+  cc.chunks = 6;
+  crypto::CtrDrbg drbg(0x5EED);
+  const Bytes archive =
+      archive::compress_chunked(std::span<const float>(f), dims,
+                                small_params(), core::Scheme::kNone, {}, {},
+                                cc, &drbg)
+          .archive;
+  const size_t chunk_bytes = f.size() / 6 * sizeof(float);
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    sansio::DecoderConfig dc;
+    dc.threads = threads;
+    auto ctx = sansio::Context::decoder(dc);
+    // Offered everything at once, the machine stops taking input as soon
+    // as a chunk's rows are pending.
+    size_t fed = 0;
+    ASSERT_EQ(ctx->feed(archive, fed), sansio::Status::kHaveOutput);
+    EXPECT_LT(fed, archive.size());
+    // Every pull then finds at most one chunk's rows, however large.
+    Bytes got;
+    std::vector<uint8_t> buf(f.size() * sizeof(float));
+    size_t pulls = 0;
+    while (true) {
+      const sansio::Status st = ctx->status();
+      if (st == sansio::Status::kDone) break;
+      if (st == sansio::Status::kHaveOutput) {
+        size_t produced = 0;
+        ctx->pull(std::span<uint8_t>(buf), produced);
+        EXPECT_LE(produced, chunk_bytes) << "pull " << pulls;
+        got.insert(got.end(), buf.begin(), buf.begin() + produced);
+        ++pulls;
+      } else if (fed < archive.size()) {
+        size_t consumed = 0;
+        ctx->feed(BytesView(archive).subspan(fed), consumed);
+        fed += consumed;
+      } else {
+        ctx->finish();
+      }
+    }
+    EXPECT_EQ(got.size(), f.size() * sizeof(float));
+    EXPECT_EQ(pulls, 6u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// One worker means no thread: the codec runs on the caller.
+
+size_t threads_now() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// Samples the process's thread count on every read.
+class ThreadProbeSource final : public ByteSource {
+ public:
+  explicit ThreadProbeSource(ByteSource& inner) : inner_(inner) {}
+  size_t read(std::span<uint8_t> out) override {
+    max_threads = std::max(max_threads, threads_now());
+    return inner_.read(out);
+  }
+  size_t max_threads = 0;
+
+ private:
+  ByteSource& inner_;
+};
+
+/// Samples the process's thread count on every write.
+class ThreadProbeSink final : public ByteSink {
+ public:
+  void write(BytesView data) override {
+    max_threads = std::max(max_threads, threads_now());
+    bytes.insert(bytes.end(), data.begin(), data.end());
+  }
+  size_t max_threads = 0;
+  Bytes bytes;
+};
+
+TEST(NoThread, OneThreadContextRoundTripStartsNoThread) {
+  const size_t before = threads_now();
+  const std::vector<float> f = field_f32(kSmallDims, 7);
+  for (const sansio::Container c :
+       {sansio::Container::kV2Single, sansio::Container::kV3Chunked}) {
+    SCOPED_TRACE(static_cast<int>(c));
+    auto enc = sansio::Context::encoder(
+        encoder_config(core::Scheme::kEncrHuffman, sz::DType::kFloat32, c));
+    size_t consumed = 0;
+    const BytesView raw = as_bytes(f);
+    enc->feed(raw.subspan(0, raw.size() / 2), consumed);
+    EXPECT_EQ(threads_now(), before);  // mid-run
+    const Bytes archive = pump(*enc, raw.subspan(consumed), 4096, 4096);
+
+    sansio::DecoderConfig dc;
+    dc.key = kKey;
+    dc.threads = 1;
+    auto dec = sansio::Context::decoder(dc);
+    dec->feed(BytesView(archive).subspan(0, archive.size() / 2), consumed);
+    EXPECT_EQ(threads_now(), before);  // mid-run
+    const Bytes back =
+        pump(*dec, BytesView(archive).subspan(consumed), 4096, 4096);
+    EXPECT_EQ(back.size(), raw.size());
+    EXPECT_EQ(threads_now(), before);
+  }
+}
+
+TEST(NoThread, OneThreadStreamRoundTripStartsNoThread) {
+  const size_t before = threads_now();
+  const std::vector<float> f = field_f32(kSmallDims, 7);
+  archive::ChunkedConfig cc;
+  cc.threads = 1;
+  cc.chunks = 3;
+  cc.spool = FrameSpool::Backing::kMemory;
+
+  MemorySource raw(as_bytes(f));
+  ThreadProbeSource raw_probe(raw);
+  ThreadProbeSink archive;
+  archive::compress_chunked_stream(raw_probe, archive, sz::DType::kFloat32,
+                                   kSmallDims, small_params(),
+                                   core::Scheme::kEncrHuffman, kKey, {}, cc);
+  EXPECT_EQ(raw_probe.max_threads, before);
+  EXPECT_EQ(archive.max_threads, before);
+
+  MemorySource packed{BytesView(archive.bytes)};
+  ThreadProbeSource packed_probe(packed);
+  ThreadProbeSink back;
+  const archive::ChunkedStreamDecodeResult r =
+      archive::decompress_chunked_stream(packed_probe, back, kKey, cc);
+  EXPECT_EQ(packed_probe.max_threads, before);
+  EXPECT_EQ(back.max_threads, before);
+  EXPECT_EQ(back.bytes.size(), f.size() * sizeof(float));
+  EXPECT_EQ(r.chunk_count, 3u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <thread>
 
 #include "common/error.h"
@@ -82,20 +83,20 @@ TEST(ThreadPool, ShutdownUnderLoad) {
 }
 
 TEST(Scheduler, CommitsInIndexOrderUnderSkewedCompletion) {
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{4, 8});
   std::vector<size_t> committed;
-  sched.run_ordered<size_t>(
-      100,
-      [](size_t, size_t i) {
-        // Early chunks finish last: maximal completion-order skew.
-        std::this_thread::sleep_for(
-            std::chrono::microseconds((100 - i) * 10));
-        return i * 7;
-      },
-      [&](size_t i, size_t&& r) {
+  ParallelChunkScheduler<size_t> sched(
+      ChunkSchedulerConfig{4, 8}, [&](size_t i, size_t&& r) {
         EXPECT_EQ(r, i * 7);
         committed.push_back(i);
       });
+  for (size_t n = 0; n < 100; ++n) {
+    sched.submit([](size_t, size_t i) {
+      // Early chunks finish last: maximal completion-order skew.
+      std::this_thread::sleep_for(std::chrono::microseconds((100 - i) * 10));
+      return i * 7;
+    });
+  }
+  sched.finish();
   ASSERT_EQ(committed.size(), 100u);
   for (size_t i = 0; i < committed.size(); ++i) {
     EXPECT_EQ(committed[i], i);  // strictly increasing index order
@@ -104,73 +105,89 @@ TEST(Scheduler, CommitsInIndexOrderUnderSkewedCompletion) {
 
 TEST(Scheduler, BackpressureBoundsInFlightWindow) {
   const size_t window = 4;
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{2, window});
-  EXPECT_EQ(sched.window(), window);
   std::atomic<size_t> started{0};
   std::atomic<size_t> committed{0};
   std::atomic<size_t> max_uncommitted{0};
-  sched.run_ordered<int>(
-      64,
-      [&](size_t, size_t) {
-        const size_t uncommitted = ++started - committed.load();
-        size_t seen = max_uncommitted.load();
-        while (uncommitted > seen &&
-               !max_uncommitted.compare_exchange_weak(seen, uncommitted)) {
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        return 0;
-      },
-      [&](size_t, int&&) { ++committed; });
+  ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{2, window},
+                                    [&](size_t, int&&) { ++committed; });
+  EXPECT_EQ(sched.window(), window);
+  for (int n = 0; n < 64; ++n) {
+    sched.submit([&](size_t, size_t) {
+      const size_t uncommitted = ++started - committed.load();
+      size_t seen = max_uncommitted.load();
+      while (uncommitted > seen &&
+             !max_uncommitted.compare_exchange_weak(seen, uncommitted)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      return 0;
+    });
+    EXPECT_LE(sched.in_flight(), window);
+  }
+  sched.finish();
   EXPECT_EQ(committed.load(), 64u);
   EXPECT_LE(max_uncommitted.load(), window);
 }
 
 TEST(Scheduler, ProduceExceptionPropagatesAfterDrain) {
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{3, 4});
   std::atomic<int> produced{0};
-  EXPECT_THROW(sched.run_ordered<int>(
-                   50,
-                   [&](size_t, size_t i) {
-                     ++produced;
-                     if (i == 5) throw Error("chunk 5 failed");
-                     return static_cast<int>(i);
-                   },
-                   [](size_t, int&&) {}),
-               Error);
+  ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{3, 4},
+                                    [](size_t, int&&) {});
+  EXPECT_THROW(
+      {
+        for (int n = 0; n < 50; ++n) {
+          sched.submit([&](size_t, size_t i) {
+            ++produced;
+            if (i == 5) throw Error("chunk 5 failed");
+            return static_cast<int>(i);
+          });
+        }
+        sched.finish();
+      },
+      Error);
   // Submission stops once the error is recorded: far fewer than all 50
   // chunks run (the window bounds how many were already in flight).
   EXPECT_LT(produced.load(), 50);
+  // The failed run stays failed: later calls rethrow, they never resume.
+  EXPECT_THROW(sched.finish(), Error);
 }
 
 TEST(Scheduler, CommitExceptionPropagatesAfterDrain) {
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{3, 4});
-  EXPECT_THROW(sched.run_ordered<int>(
-                   50, [](size_t, size_t i) { return static_cast<int>(i); },
-                   [](size_t i, int&&) {
-                     if (i == 3) throw Error("commit rejected chunk 3");
-                   }),
-               Error);
+  ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{3, 4},
+                                    [](size_t i, int&&) {
+                                      if (i == 3) {
+                                        throw Error("commit rejected chunk 3");
+                                      }
+                                    });
+  EXPECT_THROW(
+      {
+        for (int n = 0; n < 50; ++n) {
+          sched.submit([](size_t, size_t i) { return static_cast<int>(i); });
+        }
+        sched.finish();
+      },
+      Error);
 }
 
 TEST(Scheduler, WorkerArgumentSelectsPerWorkerState) {
   const unsigned threads = 3;
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{threads, 0});
-  ASSERT_EQ(sched.thread_count(), threads);
   // One counter per worker slot; concurrent increments to the same slot
   // would race under TSan and miscount under contention.  Each worker
   // only ever touches its own slot, so plain ints are safe — that is
   // exactly the per-worker-state contract the archives rely on.
   std::vector<int> per_worker(threads, 0);
   std::atomic<int> total{0};
-  sched.run_ordered<int>(
-      200,
-      [&](size_t worker, size_t) {
-        EXPECT_LT(worker, threads);
-        ++per_worker[worker];
-        ++total;
-        return 0;
-      },
-      [](size_t, int&&) {});
+  ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{threads, 0},
+                                    [](size_t, int&&) {});
+  ASSERT_EQ(sched.thread_count(), threads);
+  for (int n = 0; n < 200; ++n) {
+    sched.submit([&](size_t worker, size_t) {
+      EXPECT_LT(worker, threads);
+      ++per_worker[worker];
+      ++total;
+      return 0;
+    });
+  }
+  sched.finish();
   int sum = 0;
   for (int c : per_worker) sum += c;
   EXPECT_EQ(sum, 200);
@@ -178,33 +195,82 @@ TEST(Scheduler, WorkerArgumentSelectsPerWorkerState) {
 }
 
 TEST(Scheduler, ZeroAndSingleChunkRuns) {
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{2, 0});
   int commits = 0;
-  sched.run_ordered<int>(
-      0, [](size_t, size_t) { return 0; }, [&](size_t, int&&) { ++commits; });
+  ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{2, 0},
+                                    [&](size_t i, int&& r) {
+                                      EXPECT_EQ(i, 0u);
+                                      EXPECT_EQ(r, 41);
+                                      ++commits;
+                                    });
+  sched.finish();
   EXPECT_EQ(commits, 0);
-  sched.run_ordered<int>(
-      1, [](size_t, size_t i) { return static_cast<int>(i) + 41; },
-      [&](size_t i, int&& r) {
-        EXPECT_EQ(i, 0u);
-        EXPECT_EQ(r, 41);
-        ++commits;
-      });
+  EXPECT_FALSE(sched.commit_next());
+  sched.submit([](size_t, size_t i) { return static_cast<int>(i) + 41; });
+  sched.finish();
   EXPECT_EQ(commits, 1);
 }
 
 TEST(Scheduler, ReusableAcrossRuns) {
-  ParallelChunkScheduler sched(ChunkSchedulerConfig{2, 3});
+  size_t n_committed = 0;
+  ParallelChunkScheduler<size_t> sched(ChunkSchedulerConfig{2, 3},
+                                       [&](size_t i, size_t&& r) {
+                                         EXPECT_EQ(i, r);
+                                         ++n_committed;
+                                       });
   for (int round = 0; round < 5; ++round) {
-    size_t n_committed = 0;
-    sched.run_ordered<size_t>(
-        17, [](size_t, size_t i) { return i; },
-        [&](size_t i, size_t&& r) {
-          EXPECT_EQ(i, r);
-          ++n_committed;
-        });
+    n_committed = 0;
+    for (int n = 0; n < 17; ++n) {
+      sched.submit([](size_t, size_t i) { return i; });
+    }
+    sched.finish();
     EXPECT_EQ(n_committed, 17u);
   }
+}
+
+TEST(Scheduler, OneWorkerRunsInlineAsWorkerZero) {
+  // One worker means no pool: produce runs inside submit() on the
+  // calling thread with worker index 0, and its commit follows at once.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> committed;
+  ParallelChunkScheduler<size_t> sched(
+      ChunkSchedulerConfig{1, 0},
+      [&](size_t i, size_t&& r) { committed.push_back(i + r); });
+  EXPECT_EQ(sched.thread_count(), 1u);
+  for (size_t n = 0; n < 5; ++n) {
+    sched.submit([&](size_t worker, size_t i) {
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      return i;
+    });
+    EXPECT_EQ(committed.size(), n + 1);  // committed inside submit()
+    EXPECT_EQ(sched.in_flight(), 0u);
+  }
+  sched.finish();
+  EXPECT_EQ(committed, (std::vector<size_t>{0, 2, 4, 6, 8}));
+}
+
+TEST(Scheduler, OneWorkerInsideAnotherPoolPassesWorkerZero) {
+  // The daemon's situation: every job runs its codec single-threaded on
+  // a worker of the daemon's own pool, where current_worker_index() is
+  // that pool's index.  A one-worker scheduler must still pass 0, or a
+  // one-element per-worker state vector would be indexed past its end.
+  ThreadPool outer(2);
+  std::latch both_running(2);  // forces both outer workers into play
+  std::vector<size_t> outer_index(2, ThreadPool::kNotAWorker);
+  std::vector<size_t> seen(2, ThreadPool::kNotAWorker);
+  parallel_for(outer, 2, [&](size_t job) {
+    both_running.arrive_and_wait();
+    outer_index[job] = ThreadPool::current_worker_index();
+    ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{1, 0},
+                                      [](size_t, int&&) {});
+    sched.submit([&](size_t worker, size_t) {
+      seen[job] = worker;
+      return 0;
+    });
+    sched.finish();
+  });
+  EXPECT_NE(outer_index[0], outer_index[1]);  // one of them is nonzero
+  EXPECT_EQ(seen, (std::vector<size_t>{0, 0}));
 }
 
 }  // namespace
