@@ -26,6 +26,13 @@ struct AesKat {
   const char* cipher;
 };
 
+// Without this gtest prints the struct's raw bytes -- three string-literal
+// pointers -- so the test names (and the CTest names derived from them)
+// would change with every build and every ASLR load address.
+void PrintTo(const AesKat& kat, std::ostream* os) {
+  *os << "AES-" << std::string(kat.key).size() * 4;
+}
+
 class AesKatTest : public ::testing::TestWithParam<AesKat> {};
 
 TEST_P(AesKatTest, EncryptBlock) {
