@@ -11,12 +11,19 @@
 // quantization codes, near-random packed bytes) and an easy-like one
 // (mostly the zero bin, long byte runs).
 //
+// The decoders are timed the same way: zlite inflate against the
+// reference's canonical bit walk, on the stage-4 payload of a real chunk
+// (predict+quantize and Huffman over a Nyx-like and a sparse plume
+// field), and CRC-32 against the bytewise table.
+//
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
 //   * AES-NI CTR throughput is below 4x the scalar backend,
 //   * probe-table Huffman decode is below 2x the tree walk,
 //   * Huffman encode is below 1.5x the reference, or zlite deflate below
-//     1.2x, over a MB of each payload (the speedup on the summed time), or
+//     1.2x, over a MB of each payload (the speedup on the summed time),
+//   * zlite inflate is below 1.5x the reference over both chunk payloads,
+//     or CRC-32 below 2x the reference, or
 //   * dispatch silently fell back to scalar although cpuid reports the
 //     hardware feature (catches build-system regressions that drop the
 //     -m flags or the SZSEC_HAVE_* defines).
@@ -30,6 +37,7 @@
 //    "pass": ...}}
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -38,11 +46,15 @@
 #include <vector>
 
 #include "common/cpu.h"
+#include "common/crc32.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "core/codec.h"
 #include "crypto/aes.h"
+#include "data/fieldgen.h"
 #include "huffman/huffman.h"
 #include "sz/kernels.h"
+#include "sz/pipeline.h"
 #include "testing/reference_coders.h"
 #include "zlite/zlite.h"
 
@@ -179,9 +191,9 @@ std::vector<uint32_t> entropy_symbols(bool hard, size_t count) {
   return symbols;
 }
 
-// Reference and library MB/s for one encoder, summed as seconds per MB
+// Reference and library MB/s for one coder, summed as seconds per MB
 // over the payloads, for its speedup on both payloads together.
-struct EncoderTimes {
+struct ReferenceTimes {
   double reference_s = 0;
   double library_s = 0;
 
@@ -201,7 +213,7 @@ std::pair<double, double> bench_entropy_encoders(
     std::vector<KernelResult>& out) {
   namespace ref = szsec::testing::reference;
   constexpr size_t kCount = size_t{1} << 22;
-  EncoderTimes encode, deflate;
+  ReferenceTimes encode, deflate;
   for (const bool hard : {true, false}) {
     const std::string payload = hard ? "hard" : "easy";
     const std::vector<uint32_t> symbols = entropy_symbols(hard, kCount);
@@ -233,6 +245,84 @@ std::pair<double, double> bench_entropy_encoders(
                 }));
   }
   return {encode.speedup(), deflate.speedup()};
+}
+
+// ------------------------------------------------------------- Decoders
+
+// What stage 4 of the codec sees for one ~1 MiB chunk (4 x 256 x 256
+// floats): the assembled payload after predict+quantize and Huffman.
+// Hard: a Nyx-like density (log-normal smooth noise with 25% white
+// noise) at eb 1e-2, near-random packed codes that deflate to mostly
+// literals.  Easy: a sparse plume (smooth noise clipped at a threshold)
+// at eb 1e-6, long zero-bin runs that deflate to matches.
+Bytes chunk_payload(bool hard) {
+  namespace data = szsec::data;
+  const szsec::Dims dims{4, 256, 256};
+  const std::vector<float> coarse =
+      data::smooth_noise(dims, hard ? 0x4E1 : 0xC10, hard ? 8 : 6);
+  const std::vector<float> fine = data::smooth_noise(dims, 0xF1E, 2);
+  const std::vector<float> white = data::white_noise(dims, 0x3417E);
+  std::vector<float> field(dims.count());
+  for (size_t i = 0; i < field.size(); ++i) {
+    if (hard) {
+      field[i] = static_cast<float>(std::exp(1.8 * coarse[i] + 0.7 * fine[i]) *
+                                    (1.0 + 0.25 * white[i]));
+    } else {
+      const float x = coarse[i] - 0.9f;
+      field[i] = x <= 0 ? 0.0f : 1.5e-3f * x * x * (1.0f + 0.08f * fine[i]);
+    }
+  }
+  szsec::sz::Params params;
+  params.abs_error_bound = hard ? 1e-2 : 1e-6;
+  const szsec::sz::QuantizedField q =
+      szsec::sz::predict_quantize(field, dims, params);
+  const szsec::sz::EncodedQuant enc = szsec::sz::huffman_encode_codes(q);
+  szsec::core::codec::PayloadView p;
+  p.tree_or_cipher = BytesView(enc.tree);
+  p.codewords = BytesView(enc.codewords);
+  p.symbol_count = enc.symbol_count;
+  p.unpredictable = BytesView(q.unpredictable);
+  p.unpredictable_count = q.unpredictable_count;
+  p.side_info = BytesView(q.side_info);
+  return szsec::core::codec::assemble_payload(szsec::core::Scheme::kNone, p);
+}
+
+// zlite inflate of both chunk payloads and CRC-32 of the hard one against
+// their references; returns the speedups.  MB/s count decoded bytes.
+std::pair<double, double> bench_decoders(std::vector<KernelResult>& out) {
+  namespace ref = szsec::testing::reference;
+  ReferenceTimes inflate, crc;
+  for (const bool hard : {true, false}) {
+    const std::string payload = hard ? "hard" : "easy";
+    const Bytes plain = chunk_payload(hard);
+    const Bytes packed = szsec::zlite::deflate(BytesView(plain));
+    const BytesView in(packed);
+    SZSEC_REQUIRE(szsec::zlite::inflate(in) == plain &&
+                      ref::inflate(in) == plain,
+                  "zlite inflate differs from the reference");
+    std::printf("zlite-inflate-%s: %zu -> %zu bytes\n", payload.c_str(),
+                packed.size(), plain.size());
+    inflate.add(out, "zlite-inflate-" + payload, time_mbps(plain.size(), [&] {
+                  SZSEC_REQUIRE(ref::inflate(in).size() == plain.size(),
+                                "short");
+                }),
+                time_mbps(plain.size(), [&] {
+                  SZSEC_REQUIRE(
+                      szsec::zlite::inflate(in).size() == plain.size(),
+                      "short");
+                }));
+    if (!hard) continue;
+    const BytesView bytes(plain);
+    SZSEC_REQUIRE(szsec::crc32(bytes) == ref::crc32(bytes),
+                  "crc32 differs from the reference");
+    // Each CRC seeds the next, and the volatile keeps every call.
+    volatile uint32_t sink = 0;
+    crc.add(out, "crc32",
+            time_mbps(plain.size(), [&] { sink = ref::crc32(bytes, sink); }),
+            time_mbps(plain.size(),
+                      [&] { sink = szsec::crc32(bytes, sink); }));
+  }
+  return {inflate.speedup(), crc.speedup()};
 }
 
 // ------------------------------------------------------------ SZ kernels
@@ -301,6 +391,7 @@ int main(int argc, char** argv) {
   cpu::override_features_for_testing(detected);
   bench_huffman(results, huffman_ratio);
   const auto [encode_ratio, deflate_ratio] = bench_entropy_encoders(results);
+  const auto [inflate_ratio, crc_ratio] = bench_decoders(results);
 
   // SZ row kernels at every available level.
   bench_sz(0, "scalar", results);
@@ -359,6 +450,22 @@ int main(int argc, char** argv) {
     f.name = "zlite-deflate-vs-reference";
     f.floor = 1.2;
     f.ratio = deflate_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "zlite-inflate-vs-reference";
+    f.floor = 1.5;
+    f.ratio = inflate_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "crc32-vs-reference";
+    f.floor = 2.0;
+    f.ratio = crc_ratio;
     f.pass = f.ratio >= f.floor;
     floors.push_back(f);
   }

@@ -1,4 +1,5 @@
-// libFuzzer harness for the DEFLATE decoder, including the
+// libFuzzer harness for the DEFLATE decoder: a differential against the
+// reference inflater (equal bytes or an equal typed error) plus the
 // inflate/deflate/inflate round-trip property; see
 // src/testing/replay.cpp for the shared body.
 #include <cstddef>

@@ -6,6 +6,13 @@
 // Both writers collect bits in a 64-bit accumulator and move them to the
 // buffer 32 at a time, so a put of up to 32 bits is a shift, an OR and,
 // every 32 bits, one 4-byte store.  Wider puts are split in two.
+//
+// Both readers mirror that: a 64-bit accumulator refilled with one 8-byte
+// load while 8 input bytes remain (bytewise in the last 7), so a get of up
+// to 56 bits is a compare, a shift and a mask.  Wider gets are split in
+// two.  A get that runs past the end consumes the rest of the input and
+// throws CorruptError("corrupt: bitstream exhausted"), the same error from
+// the same call as a reader taking one bit per step.
 #pragma once
 
 #include <algorithm>
@@ -22,10 +29,59 @@ namespace szsec {
 
 namespace detail {
 
-/// The low `nbits` bits set; `nbits` <= 32.
+/// The low `nbits` bits set; `nbits` < 64.
 inline uint64_t low_mask(unsigned nbits) {
   return (uint64_t{1} << nbits) - 1;
 }
+
+/// The 8 bytes at `p` as a little-endian word.
+inline uint64_t load_le64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Input cursor and accumulator shared by the two readers.  `acc` holds
+/// `have` unread stream bits (at its top for MSB-first, at its bottom
+/// for LSB-first) and may hold further real stream bits past them: a
+/// wide refill loads whole words but counts only whole bytes, and the
+/// next refill ORs the same values over those bits again.
+struct ReaderState {
+  const uint8_t* begin;
+  const uint8_t* next;  ///< first byte not yet loaded into acc
+  const uint8_t* end;
+  uint64_t acc = 0;
+  unsigned have = 0;
+
+  explicit ReaderState(BytesView data)
+      : begin(data.data()), next(data.data()),
+        end(data.data() + data.size()) {}
+
+  /// Bytes of the refill that fit below bit 64: have becomes 56..63.
+  unsigned wide_refill_bytes() const { return (63u - have) >> 3; }
+
+  /// At least 8 input bytes left for a one-load refill.
+  bool wide_input() const { return end - next >= 8; }
+
+  size_t bit_pos() const {
+    return static_cast<size_t>(next - begin) * 8 - have;
+  }
+  size_t bits_remaining() const {
+    return static_cast<size_t>(end - next) * 8 + have;
+  }
+
+  /// Consumes the rest of the input and throws, as a per-bit reader does
+  /// when a get runs past the end.
+  [[noreturn]] void exhausted() {
+    next = end;
+    acc = 0;
+    have = 0;
+    throw CorruptError("corrupt: bitstream exhausted");
+  }
+};
 
 /// Growable output buffer for the bit writers: `len` bytes are written,
 /// the rest of `buf` is headroom, so a store needs no size bookkeeping in
@@ -113,32 +169,57 @@ class BitWriter {
   unsigned fill_ = 0;
 };
 
-/// MSB-first bit reader over a borrowed buffer.
+/// MSB-first bit reader over a borrowed buffer.  The next unread bit is
+/// the accumulator's highest bit.
 class BitReader {
  public:
-  explicit BitReader(BytesView data) : data_(data) {}
+  explicit BitReader(BytesView data) : s_(data) {}
 
-  unsigned get_bit() {
-    SZSEC_CHECK_FORMAT(bit_pos_ < data_.size() * 8, "bitstream exhausted");
-    const size_t byte = bit_pos_ >> 3;
-    const unsigned off = 7u - (bit_pos_ & 7u);
-    ++bit_pos_;
-    return (data_[byte] >> off) & 1u;
-  }
+  unsigned get_bit() { return static_cast<unsigned>(take(1)); }
 
   uint64_t get_bits(unsigned nbits) {
     SZSEC_REQUIRE(nbits <= 64, "at most 64 bits per call");
-    uint64_t v = 0;
-    for (unsigned i = 0; i < nbits; ++i) v = (v << 1) | get_bit();
+    if (nbits > kMaxTake) {
+      const uint64_t high = take(nbits - 32);
+      return (high << 32) | take(32);
+    }
+    return take(nbits);
+  }
+
+  size_t bits_remaining() const { return s_.bits_remaining(); }
+  size_t bit_pos() const { return s_.bit_pos(); }
+
+ private:
+  static constexpr unsigned kMaxTake = 56;
+
+  // Reads `nbits` <= kMaxTake bits.
+  uint64_t take(unsigned nbits) {
+    if (s_.have < nbits) refill(nbits);
+    // Two shifts, so nbits == 0 needs no shift by 64.
+    const uint64_t v = (s_.acc >> 1) >> (63 - nbits);
+    s_.acc <<= nbits;
+    s_.have -= nbits;
     return v;
   }
 
-  size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
-  size_t bit_pos() const { return bit_pos_; }
+  void refill(unsigned nbits) {
+    if (s_.wide_input()) {
+      // Big-endian word: the first byte lands in the top 8 bits.
+      const uint64_t word = __builtin_bswap64(detail::load_le64(s_.next));
+      s_.acc |= word >> s_.have;
+      const unsigned bytes = s_.wide_refill_bytes();
+      s_.next += bytes;
+      s_.have += bytes * 8;
+    } else {
+      while (s_.have <= 56 && s_.next != s_.end) {
+        s_.acc |= uint64_t{*s_.next++} << (56 - s_.have);
+        s_.have += 8;
+      }
+    }
+    if (s_.have < nbits) s_.exhausted();
+  }
 
- private:
-  BytesView data_;
-  size_t bit_pos_ = 0;
+  detail::ReaderState s_;
 };
 
 /// LSB-first bit packer (DEFLATE convention): the first bit written becomes
@@ -208,45 +289,97 @@ class LsbBitWriter {
   unsigned fill_ = 0;
 };
 
-/// LSB-first bit reader (DEFLATE convention).
+/// LSB-first bit reader (DEFLATE convention).  The next unread bit is
+/// the accumulator's lowest bit.
+///
+/// Besides the checked gets, it exposes its accumulator to table-driven
+/// decoders (zlite's inflater): refill(), then peek() at up to
+/// available() bits and consume() what a table entry says.
 class LsbBitReader {
  public:
-  explicit LsbBitReader(BytesView data) : data_(data) {}
+  explicit LsbBitReader(BytesView data) : s_(data) {}
 
-  unsigned get_bit() {
-    SZSEC_CHECK_FORMAT(bit_pos_ < data_.size() * 8, "bitstream exhausted");
-    const size_t byte = bit_pos_ >> 3;
-    const unsigned off = bit_pos_ & 7u;
-    ++bit_pos_;
-    return (data_[byte] >> off) & 1u;
-  }
+  unsigned get_bit() { return static_cast<unsigned>(take(1)); }
 
   /// Reads `nbits` bits; the first bit read is the result's lowest bit.
   uint64_t get_bits(unsigned nbits) {
     SZSEC_REQUIRE(nbits <= 64, "at most 64 bits per call");
-    uint64_t v = 0;
-    for (unsigned i = 0; i < nbits; ++i) {
-      v |= static_cast<uint64_t>(get_bit()) << i;
+    if (nbits > kMaxTake) {
+      const uint64_t low = take(32);
+      return low | (take(nbits - 32) << 32);
     }
-    return v;
+    return take(nbits);
   }
 
-  void align_to_byte() { bit_pos_ = (bit_pos_ + 7) & ~size_t{7}; }
+  void align_to_byte() { consume(s_.have & 7u); }
 
   /// Copies `n` whole bytes; requires byte alignment.
   BytesView get_bytes(size_t n) {
-    SZSEC_REQUIRE((bit_pos_ & 7) == 0, "get_bytes requires byte alignment");
-    const size_t byte = bit_pos_ >> 3;
-    SZSEC_CHECK_FORMAT(byte + n <= data_.size(), "bitstream exhausted");
-    bit_pos_ += n * 8;
-    return data_.subspan(byte, n);
+    SZSEC_REQUIRE((s_.have & 7) == 0, "get_bytes requires byte alignment");
+    const uint8_t* at = s_.next - s_.have / 8;
+    SZSEC_CHECK_FORMAT(n <= static_cast<size_t>(s_.end - at),
+                       "bitstream exhausted");
+    s_.next = at + n;
+    s_.acc = 0;
+    s_.have = 0;
+    return BytesView(at, n);
   }
 
-  size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
+  size_t bits_remaining() const { return s_.bits_remaining(); }
+
+  /// Tops the accumulator up to at least 56 bits, or to the rest of the
+  /// input when less is left.  Never throws.
+  void refill() {
+    if (s_.wide_input()) {
+      refill_wide();
+    } else {
+      while (s_.have <= 56 && s_.next != s_.end) {
+        s_.acc |= uint64_t{*s_.next++} << s_.have;
+        s_.have += 8;
+      }
+    }
+  }
+
+  /// refill() as one 8-byte load; requires wide_input().
+  void refill_wide() {
+    s_.acc |= detail::load_le64(s_.next) << s_.have;
+    const unsigned bytes = s_.wide_refill_bytes();
+    s_.next += bytes;
+    s_.have += bytes * 8;
+  }
+
+  /// At least 8 input bytes are left to load, so refill_wide() may run.
+  bool wide_input() const { return s_.wide_input(); }
+
+  /// The next bits of the stream, first in bit 0.  Only the low
+  /// available() bits are guaranteed.
+  uint64_t peek() const { return s_.acc; }
+  unsigned available() const { return s_.have; }
+
+  /// Drops `nbits` <= available() bits.
+  void consume(unsigned nbits) {
+    s_.acc >>= nbits;
+    s_.have -= nbits;
+  }
+
+  /// Consumes the rest of the input and throws "bitstream exhausted".
+  [[noreturn]] void exhausted() { s_.exhausted(); }
 
  private:
-  BytesView data_;
-  size_t bit_pos_ = 0;
+  static constexpr unsigned kMaxTake = 56;
+
+  // Reads `nbits` <= kMaxTake bits.
+  uint64_t take(unsigned nbits) {
+    if (s_.have < nbits) {
+      refill();
+      if (s_.have < nbits) s_.exhausted();
+    }
+    const uint64_t v = s_.acc & detail::low_mask(nbits);
+    consume(nbits);
+    return v;
+  }
+
+  detail::ReaderState s_;
 };
 
 }  // namespace szsec

@@ -5,23 +5,52 @@
 namespace szsec {
 
 namespace {
-std::array<uint32_t, 256> make_table() {
-  std::array<uint32_t, 256> t{};
+
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][b] is the CRC register after byte b is followed by k zero
+// bytes, so one step folds 8 input bytes with 8 independent lookups.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+    }
   }
   return t;
 }
+
+constexpr Tables kTables = make_tables();
+
+// Little-endian load from bytes, so the fold is the same on any host.
+uint32_t load_le32(const uint8_t* p) {
+  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
+         (uint32_t{p[3]} << 24);
+}
+
 }  // namespace
 
 uint32_t crc32(BytesView data, uint32_t seed) {
-  static const auto table = make_table();
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = load_le32(p) ^ c;
+    const uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+        kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+        kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

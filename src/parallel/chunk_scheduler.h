@@ -20,9 +20,12 @@
 //     moment: a submit() into a full window first commits the oldest
 //     chunk, waiting for it.  This is backpressure: peak memory is
 //     O(window x chunk), independent of archive length and of how
-//     unevenly chunks complete.  Each submit() commits at most one
-//     chunk, so a caller that stops pushing while output is pending
-//     holds at most one commit's output;
+//     unevenly chunks complete.  A submit() into a window with room
+//     commits the oldest chunk only if it is already produced, without
+//     waiting, so finished results do not sit in the window until it
+//     fills.  Each submit() commits at most one chunk, so a caller that
+//     stops pushing while output is pending holds at most one commit's
+//     output;
 //   * the worker argument of produce indexes per-worker scratch state —
 //     BufferPool, RuntimeCache — in [0, thread_count()), so workers
 //     reuse buffers and key schedules without contending on a lock;
@@ -105,9 +108,18 @@ class ParallelChunkScheduler {
   /// Chunks submitted in this run and not yet committed.
   size_t in_flight() const { return next_submit_ - next_commit_; }
 
+  /// Chunks produced and waiting for their ordered commit (always 0 with
+  /// one worker, which commits each chunk as it is produced).
+  size_t ready_count() const {
+    if (!shared_) return 0;
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    return shared_->ready.size();
+  }
+
   /// Submits the run's next index.  One worker: produce(0, index) and
   /// its commit run here, now.  More: a full window first commits the
-  /// oldest chunk (waiting for it), then produce is queued on the pool.
+  /// oldest chunk (waiting for it), a window with room commits it only
+  /// if it is already produced, then produce is queued on the pool.
   void submit(Produce produce) {
     rethrow_if_failed();
     if (!pool_) {
@@ -121,7 +133,7 @@ class ParallelChunkScheduler {
       commit_or_fail(next_commit_++, std::move(*r));
       return;
     }
-    if (in_flight() >= window_) commit_next();
+    commit_oldest(/*wait=*/in_flight() >= window_);
     const size_t index = next_submit_++;
     {
       std::lock_guard<std::mutex> lock(shared_->mu);
@@ -158,25 +170,7 @@ class ParallelChunkScheduler {
   /// nothing is in flight.
   bool commit_next() {
     rethrow_if_failed();
-    if (next_commit_ == next_submit_) return false;
-    std::optional<Result> r;
-    {
-      std::unique_lock<std::mutex> lock(shared_->mu);
-      shared_->cv.wait(lock, [&] {
-        return shared_->error != nullptr ||
-               shared_->ready.count(next_commit_) > 0;
-      });
-      if (shared_->error) {
-        const std::exception_ptr e = shared_->error;
-        lock.unlock();
-        fail(e);
-      }
-      auto it = shared_->ready.find(next_commit_);
-      r.emplace(std::move(it->second));
-      shared_->ready.erase(it);
-    }
-    commit_or_fail(next_commit_++, std::move(*r));
-    return true;
+    return commit_oldest(/*wait=*/true);
   }
 
   /// Commits every chunk still in flight and ends the run; the next
@@ -200,6 +194,34 @@ class ParallelChunkScheduler {
     size_t running = 0;  ///< queued or running tasks
     bool abandon = false;
   };
+
+  /// Commits the oldest uncommitted chunk.  If it is not produced yet,
+  /// waits for it when `wait`, else returns false.  False when nothing
+  /// is in flight.
+  bool commit_oldest(bool wait) {
+    if (next_commit_ == next_submit_) return false;
+    std::optional<Result> r;
+    {
+      std::unique_lock<std::mutex> lock(shared_->mu);
+      if (wait) {
+        shared_->cv.wait(lock, [&] {
+          return shared_->error != nullptr ||
+                 shared_->ready.count(next_commit_) > 0;
+        });
+      }
+      if (shared_->error) {
+        const std::exception_ptr e = shared_->error;
+        lock.unlock();
+        fail(e);
+      }
+      auto it = shared_->ready.find(next_commit_);
+      if (it == shared_->ready.end()) return false;
+      r.emplace(std::move(it->second));
+      shared_->ready.erase(it);
+    }
+    commit_or_fail(next_commit_++, std::move(*r));
+    return true;
+  }
 
   void commit_or_fail(size_t index, Result&& r) {
     try {

@@ -1,6 +1,7 @@
 #include "testing/reference_coders.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <queue>
 #include <vector>
@@ -520,6 +521,88 @@ void emit_block(LsbBitWriter& w, BytesView raw,
   emit_tokens(w, tokens, dyn);
 }
 
+// ---------------------------------------------------------------------------
+// Inflate.
+// ---------------------------------------------------------------------------
+
+// Canonical (MSB-first code value) decoder over an LSB-first bit stream.
+class CanonicalDecoder {
+ public:
+  CanonicalDecoder(std::span<const uint8_t> lengths, unsigned max_bits)
+      : max_bits_(max_bits) {
+    count_.assign(max_bits + 1, 0);
+    for (uint8_t l : lengths) {
+      SZSEC_CHECK_FORMAT(l <= max_bits, "code length exceeds limit");
+      if (l > 0) ++count_[l];
+    }
+    first_code_.assign(max_bits + 2, 0);
+    first_index_.assign(max_bits + 2, 0);
+    uint32_t code = 0, index = 0;
+    uint64_t kraft = 0;
+    for (unsigned l = 1; l <= max_bits; ++l) {
+      code = (code + count_[l - 1]) << 1;
+      first_code_[l] = code;
+      first_index_[l] = index;
+      index += count_[l];
+      kraft += static_cast<uint64_t>(count_[l]) << (max_bits - l);
+    }
+    SZSEC_CHECK_FORMAT(kraft <= (uint64_t{1} << max_bits),
+                       "over-subscribed Huffman code");
+    sorted_.reserve(index);
+    for (unsigned l = 1; l <= max_bits; ++l) {
+      for (size_t s = 0; s < lengths.size(); ++s) {
+        if (lengths[s] == l) sorted_.push_back(static_cast<uint32_t>(s));
+      }
+    }
+  }
+
+  uint32_t decode(LsbBitReader& r) const {
+    uint32_t code = 0;
+    for (unsigned len = 1; len <= max_bits_; ++len) {
+      code = (code << 1) | r.get_bit();
+      if (count_[len] != 0 && code - first_code_[len] < count_[len]) {
+        return sorted_[first_index_[len] + (code - first_code_[len])];
+      }
+    }
+    throw CorruptError("corrupt: invalid Huffman code in stream");
+  }
+
+ private:
+  unsigned max_bits_;
+  std::vector<uint32_t> count_, first_code_, first_index_;
+  std::vector<uint32_t> sorted_;
+};
+
+void inflate_tokens(LsbBitReader& r, const CanonicalDecoder& lit,
+                    const CanonicalDecoder& dist, Bytes& out,
+                    size_t max_size) {
+  while (true) {
+    const uint32_t sym = lit.decode(r);
+    if (sym < 256) {
+      SZSEC_CHECK_FORMAT(max_size == 0 || out.size() < max_size,
+                         "inflated output exceeds declared size cap");
+      out.push_back(static_cast<uint8_t>(sym));
+    } else if (sym == kEob) {
+      return;
+    } else {
+      SZSEC_CHECK_FORMAT(sym - 257 < 29, "bad length code");
+      const int lc = static_cast<int>(sym - 257);
+      const size_t len =
+          kLenBase[lc] + static_cast<size_t>(r.get_bits(kLenExtra[lc]));
+      const uint32_t dsym = dist.decode(r);
+      SZSEC_CHECK_FORMAT(dsym < 30, "bad distance code");
+      const size_t d =
+          kDistBase[dsym] + static_cast<size_t>(r.get_bits(kDistExtra[dsym]));
+      SZSEC_CHECK_FORMAT(d <= out.size(), "distance beyond output start");
+      SZSEC_CHECK_FORMAT(max_size == 0 || len <= max_size - out.size(),
+                         "inflated output exceeds declared size cap");
+      // Byte-at-a-time copy handles overlapping matches correctly.
+      const size_t start = out.size() - d;
+      for (size_t i = 0; i < len; ++i) out.push_back(out[start + i]);
+    }
+  }
+}
+
 }  // namespace
 
 Bytes deflate(BytesView data, Level level) {
@@ -547,6 +630,93 @@ Bytes deflate(BytesView data, Level level) {
                /*final_block=*/end == data.size());
   }
   return w.finish();
+}
+
+Bytes inflate(BytesView data, size_t size_hint, size_t max_size) {
+  LsbBitReader r(data);
+  Bytes out;
+  const size_t want = max_size != 0 ? std::min(size_hint, max_size)
+                                    : size_hint;
+  if (want > out.capacity()) out.reserve(want);
+  bool final_block = false;
+  do {
+    final_block = r.get_bit() != 0;
+    const uint64_t btype = r.get_bits(2);
+    if (btype == 0) {
+      r.align_to_byte();
+      const uint64_t len = r.get_bits(16);
+      const uint64_t nlen = r.get_bits(16);
+      SZSEC_CHECK_FORMAT((len ^ nlen) == 0xFFFF, "stored block LEN mismatch");
+      SZSEC_CHECK_FORMAT(max_size == 0 || len <= max_size - out.size(),
+                         "inflated output exceeds declared size cap");
+      const BytesView raw = r.get_bytes(static_cast<size_t>(len));
+      out.insert(out.end(), raw.begin(), raw.end());
+    } else if (btype == 1) {
+      const auto& fx = fixed_codes();
+      const CanonicalDecoder lit(fx.lit_len, kMaxLitBits);
+      const CanonicalDecoder dist(fx.dist_len, kMaxLitBits);
+      inflate_tokens(r, lit, dist, out, max_size);
+    } else if (btype == 2) {
+      const int nlit = static_cast<int>(r.get_bits(5)) + 257;
+      const int ndist = static_cast<int>(r.get_bits(5)) + 1;
+      const int ncl = static_cast<int>(r.get_bits(4)) + 4;
+      SZSEC_CHECK_FORMAT(nlit <= kNumLitCodes + 2 && ndist <= kNumDistCodes + 2,
+                         "bad code counts");
+      std::vector<uint8_t> cl_len(kNumClCodes, 0);
+      for (int i = 0; i < ncl; ++i) {
+        cl_len[kClOrder[i]] = static_cast<uint8_t>(r.get_bits(3));
+      }
+      const CanonicalDecoder cl(cl_len, kMaxClBits);
+      std::vector<uint8_t> lengths;
+      lengths.reserve(static_cast<size_t>(nlit + ndist));
+      while (lengths.size() < static_cast<size_t>(nlit + ndist)) {
+        const uint32_t s = cl.decode(r);
+        if (s < 16) {
+          lengths.push_back(static_cast<uint8_t>(s));
+        } else if (s == 16) {
+          SZSEC_CHECK_FORMAT(!lengths.empty(), "repeat with no previous");
+          const uint8_t prev = lengths.back();
+          const uint64_t n = 3 + r.get_bits(2);
+          lengths.insert(lengths.end(), static_cast<size_t>(n), prev);
+        } else if (s == 17) {
+          const uint64_t n = 3 + r.get_bits(3);
+          lengths.insert(lengths.end(), static_cast<size_t>(n), 0);
+        } else {
+          const uint64_t n = 11 + r.get_bits(7);
+          lengths.insert(lengths.end(), static_cast<size_t>(n), 0);
+        }
+      }
+      SZSEC_CHECK_FORMAT(lengths.size() == static_cast<size_t>(nlit + ndist),
+                         "code length overrun");
+      const std::span<const uint8_t> lit_span(lengths.data(),
+                                              static_cast<size_t>(nlit));
+      const std::span<const uint8_t> dist_span(
+          lengths.data() + nlit, static_cast<size_t>(ndist));
+      const CanonicalDecoder lit(lit_span, kMaxLitBits);
+      const CanonicalDecoder dist(dist_span, kMaxLitBits);
+      inflate_tokens(r, lit, dist, out, max_size);
+    } else {
+      throw CorruptError("corrupt: reserved block type");
+    }
+  } while (!final_block);
+  return out;
+}
+
+uint32_t crc32(BytesView data, uint32_t seed) {
+  static const auto table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
 }
 
 }  // namespace szsec::testing::reference

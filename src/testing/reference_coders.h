@@ -1,12 +1,16 @@
-// Reference encoders for the entropy stages, kept as a test oracle.
+// Reference coders for the entropy stages and CRC-32, kept as a test
+// oracle.
 //
-// These are the bit-at-a-time and byte-at-a-time encoders the library
-// used before its word-at-a-time rewrite: the MSB-first and LSB-first bit
-// writers, the Huffman symbol packer, and zlite's LZ77 matcher and DEFLATE
-// block emitter.  They are slow on purpose, simple enough to check by
-// reading, and frozen: the production encoders must match them byte for
-// byte (tests/entropy_identity_test.cpp), and bench_kernels times the
-// production encoders against them.  Nothing in the library links them.
+// These are the bit-at-a-time and byte-at-a-time coders the library used
+// before its word-at-a-time rewrites: the MSB-first and LSB-first bit
+// writers and readers, the Huffman symbol packer, zlite's LZ77 matcher and
+// DEFLATE block emitter, zlite's canonical-walk inflater, and the bytewise
+// table CRC-32.  They are slow on purpose, simple enough to check by
+// reading, and frozen: the production coders must match them byte for
+// byte, and the decoders must also throw the same exception type with the
+// same message at the same call (tests/entropy_identity_test.cpp,
+// testing::replay_zlite).  bench_kernels times the production coders
+// against them.  Nothing in the library links them.
 #pragma once
 
 #include <cstdint>
@@ -98,11 +102,87 @@ class LsbBitWriter {
   unsigned fill_ = 0;
 };
 
+/// MSB-first bit reader, one bit per step.
+class BitReader {
+ public:
+  explicit BitReader(BytesView data) : data_(data) {}
+
+  unsigned get_bit() {
+    SZSEC_CHECK_FORMAT(bit_pos_ < data_.size() * 8, "bitstream exhausted");
+    const size_t byte = bit_pos_ >> 3;
+    const unsigned off = 7u - (bit_pos_ & 7u);
+    ++bit_pos_;
+    return (data_[byte] >> off) & 1u;
+  }
+
+  uint64_t get_bits(unsigned nbits) {
+    SZSEC_REQUIRE(nbits <= 64, "at most 64 bits per call");
+    uint64_t v = 0;
+    for (unsigned i = 0; i < nbits; ++i) v = (v << 1) | get_bit();
+    return v;
+  }
+
+  size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
+  size_t bit_pos() const { return bit_pos_; }
+
+ private:
+  BytesView data_;
+  size_t bit_pos_ = 0;
+};
+
+/// LSB-first bit reader (DEFLATE convention), one bit per step.
+class LsbBitReader {
+ public:
+  explicit LsbBitReader(BytesView data) : data_(data) {}
+
+  unsigned get_bit() {
+    SZSEC_CHECK_FORMAT(bit_pos_ < data_.size() * 8, "bitstream exhausted");
+    const size_t byte = bit_pos_ >> 3;
+    const unsigned off = bit_pos_ & 7u;
+    ++bit_pos_;
+    return (data_[byte] >> off) & 1u;
+  }
+
+  /// Reads `nbits` bits; the first bit read is the result's lowest bit.
+  uint64_t get_bits(unsigned nbits) {
+    SZSEC_REQUIRE(nbits <= 64, "at most 64 bits per call");
+    uint64_t v = 0;
+    for (unsigned i = 0; i < nbits; ++i) {
+      v |= static_cast<uint64_t>(get_bit()) << i;
+    }
+    return v;
+  }
+
+  void align_to_byte() { bit_pos_ = (bit_pos_ + 7) & ~size_t{7}; }
+
+  /// Copies `n` whole bytes; requires byte alignment.
+  BytesView get_bytes(size_t n) {
+    SZSEC_REQUIRE((bit_pos_ & 7) == 0, "get_bytes requires byte alignment");
+    const size_t byte = bit_pos_ >> 3;
+    SZSEC_CHECK_FORMAT(byte + n <= data_.size(), "bitstream exhausted");
+    bit_pos_ += n * 8;
+    return data_.subspan(byte, n);
+  }
+
+  size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
+
+ private:
+  BytesView data_;
+  size_t bit_pos_ = 0;
+};
+
 /// huffman::encode() through the per-bit writer.
 Bytes huffman_encode(const huffman::CodeTable& table,
                      std::span<const uint32_t> symbols);
 
 /// zlite::deflate() with the scan-based matcher and block emitter.
 Bytes deflate(BytesView data, zlite::Level level = zlite::Level::kDefault);
+
+/// zlite::inflate() walking each canonical code one bit at a time through
+/// the per-bit reader, with byte-at-a-time match copies.
+Bytes inflate(BytesView data, size_t size_hint = 0, size_t max_size = 0);
+
+/// crc32() one byte per table lookup.
+uint32_t crc32(BytesView data, uint32_t seed = 0);
 
 }  // namespace szsec::testing::reference

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <typeinfo>
 
 #include "archive/chunked.h"
 #include "archive/seekable.h"
@@ -10,6 +13,7 @@
 #include "crypto/cipher.h"
 #include "huffman/huffman.h"
 #include "parallel/slab.h"
+#include "testing/reference_coders.h"
 #include "zlite/zlite.h"
 
 namespace szsec::testing {
@@ -58,16 +62,27 @@ void replay_huffman(BytesView input) {
 }
 
 void replay_zlite(BytesView input) {
-  Bytes plain;
+  // The library and the reference inflater must agree: the same bytes, or
+  // the same exception type and message.  Abort (so the fuzzer records
+  // it) if not.
+  std::optional<Bytes> plain, want;
+  std::string error, want_error;
   try {
     plain = zlite::inflate(input);
-  } catch (const Error&) {
-    return;
+  } catch (const Error& e) {
+    error = std::string(typeid(e).name()) + ": " + e.what();
   }
+  try {
+    want = reference::inflate(input);
+  } catch (const Error& e) {
+    want_error = std::string(typeid(e).name()) + ": " + e.what();
+  }
+  if (plain != want || error != want_error) std::abort();
+  if (!plain) return;
   // Whatever inflates must survive our own deflate/inflate round trip
-  // bit-identically; abort (so the fuzzer records it) if not.
-  const Bytes re = zlite::deflate(BytesView(plain));
-  if (zlite::inflate(BytesView(re)) != plain) std::abort();
+  // bit-identically.
+  const Bytes re = zlite::deflate(BytesView(*plain));
+  if (zlite::inflate(BytesView(re)) != *plain) std::abort();
 }
 
 void replay_chunked(BytesView input) {

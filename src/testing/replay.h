@@ -29,8 +29,11 @@ void replay_decode(BytesView input);
 /// canonical-Huffman table deserializer and symbol decoder.
 void replay_huffman(BytesView input);
 
-/// Arbitrary bytes into the DEFLATE decoder; a successful inflate must
-/// additionally survive a deflate/inflate round trip bit-identically.
+/// Arbitrary bytes into the DEFLATE decoder, differentially against the
+/// reference inflater (src/testing/reference_coders.h): both must return
+/// the same bytes or throw the same exception type and message.  A
+/// successful inflate must additionally survive a deflate/inflate round
+/// trip bit-identically.
 void replay_zlite(BytesView input);
 
 /// Arbitrary bytes into the v3 chunked-archive surfaces: strict index

@@ -307,7 +307,8 @@ TEST(DurabilityTransport, EnospcMidCompressIsTypedIoError) {
 
 // Transient read bursts under the streaming strict decoder: RetrySource
 // absorbs them and the decode output is byte-identical to a fault-free
-// run.
+// run.  The choke caps every read at a few hundred bytes, so the fault
+// plan draws many times whatever read sizes the decoder asks for.
 TEST(DurabilityTransport, RetrySourceAbsorbsBurstsDuringDecode) {
   const Campaign c =
       build_campaign(core::Scheme::kEncrHuffman, false, false);
@@ -317,7 +318,8 @@ TEST(DurabilityTransport, RetrySourceAbsorbsBurstsDuringDecode) {
   archive::decompress_chunked_stream(clean_src, clean_out, BytesView(c.key),
                                      campaign_config());
 
-  MemorySource inner{BytesView(c.archive)};
+  MemorySource memory{BytesView(c.archive)};
+  ChokedSource inner(memory, 300);
   testing::FaultPlan plan;
   plan.transient_rate = 0.2;
   plan.burst_len = 2;

@@ -1,23 +1,36 @@
-// Byte-identity differential test for the entropy encoders: the
-// word-at-a-time bit writers, Huffman packer and zlite deflate must emit
-// exactly the bytes of the reference encoders in
-// src/testing/reference_coders.h, the per-bit and per-byte versions the
-// golden container pins were recorded with.
+// Identity differential tests for the entropy coders and CRC-32 against
+// the frozen references in src/testing/reference_coders.h, the per-bit
+// and per-byte versions the golden container pins were recorded with.
 //
-// Deflate inputs sit at the edges the wide paths touch: the 32 KiB
-// window (chain mask), the 256 KiB block (window slide, matches clipped
-// at the block end) and the buffer end (8-byte match extension).  Each
-// input is its own exact-size heap allocation, so the sanitizer build
-// flags any wide load past the end.
+// Encoders: the word-at-a-time bit writers, Huffman packer and zlite
+// deflate must emit exactly the reference bytes.  Deflate inputs sit at
+// the edges the wide paths touch: the 32 KiB window (chain mask), the
+// 256 KiB block (window slide, matches clipped at the block end) and the
+// buffer end (8-byte match extension).  Each input is its own exact-size
+// heap allocation, so the sanitizer build flags any wide load past the
+// end.
+//
+// Decoders: the 64-bit bit readers and the table-driven zlite inflater
+// must return the reference's bytes on every input, and on a bad one
+// throw the same exception type with the same message from the same call.
+// Their inputs are zlite and zlib streams, every truncation of small
+// streams, seeded bit flips, forged headers, and output caps at and
+// around the true size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#if SZSEC_HAVE_ZLIB
+#include <zlib.h>
+#endif
+
 #include "common/bitstream.h"
+#include "common/crc32.h"
 #include "huffman/huffman.h"
 #include "testing/reference_coders.h"
 #include "zlite/zlite.h"
@@ -270,6 +283,298 @@ TEST(EntropyIdentity, LsbWriterPutsWithJunk) {
       ASSERT_EQ(got.bit_count(), want.bit_count());
     }
     ASSERT_EQ(got.finish(), want.finish()) << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Decoders: equal bytes, or an equal exception type and message.
+
+// What a decode produced: its bytes, or its exception's type and what().
+struct Outcome {
+  Bytes bytes;
+  std::string error;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+  if (!o.error.empty()) return os << "threw " << o.error;
+  return os << o.bytes.size() << " bytes";
+}
+
+template <typename Fn>
+Outcome outcome_of(Fn&& decode) {
+  try {
+    return {decode(), ""};
+  } catch (const std::exception& e) {
+    return {{}, std::string(typeid(e).name()) + ": " + e.what()};
+  }
+}
+
+// Inflates `stream` with both decoders under the same size hint and cap.
+void expect_inflate_identical(BytesView stream, size_t size_hint,
+                              size_t max_size) {
+  const Outcome got = outcome_of(
+      [&] { return zlite::inflate(stream, size_hint, max_size); });
+  const Outcome want = outcome_of(
+      [&] { return ref::inflate(stream, size_hint, max_size); });
+  ASSERT_EQ(got, want) << "stream of " << stream.size() << " bytes, hint "
+                       << size_hint << ", cap " << max_size;
+}
+
+// A stream of `n` original bytes under no cap and under caps at, just
+// below and well below the true size (the cap check is ordered against
+// the other checks), with and without a size hint.
+void expect_inflate_identical_capped(BytesView stream, size_t n) {
+  expect_inflate_identical(stream, 0, 0);
+  expect_inflate_identical(stream, n, 0);
+  expect_inflate_identical(stream, 0, n);
+  if (n > 0) expect_inflate_identical(stream, n, n - 1);
+  if (n > 1) expect_inflate_identical(stream, 0, n / 2);
+}
+
+// Decoding a zlite stream of each generator, size and level, stored
+// blocks included.
+TEST(EntropyIdentity, InflateZliteStreams) {
+  const Generator generators[] = {random_bytes, periodic_bytes,
+                                  long_run_bytes, codeword_bytes};
+  for (const Generator gen : generators) {
+    const Bytes stream = gen(*std::max_element(std::begin(kSizes),
+                                               std::end(kSizes)),
+                             0x1F1A7E);
+    for (const size_t n : kSizes) {
+      const BytesView data(stream.data(), n);
+      for (const zlite::Level level :
+           {zlite::Level::kStored, zlite::Level::kFast,
+            zlite::Level::kDefault}) {
+        SCOPED_TRACE("size " + std::to_string(n) + " level " +
+                     std::to_string(static_cast<int>(level)));
+        const Bytes packed = zlite::deflate(data, level);
+        expect_inflate_identical_capped(BytesView(packed), n);
+        EXPECT_EQ(zlite::inflate(BytesView(packed), 0, n),
+                  Bytes(data.begin(), data.end()));
+      }
+    }
+  }
+}
+
+#if SZSEC_HAVE_ZLIB
+// Raw DEFLATE from zlib at `level` with `strategy`.
+Bytes zlib_deflate(BytesView data, int level, int strategy) {
+  z_stream zs{};
+  EXPECT_EQ(deflateInit2(&zs, level, Z_DEFLATED, /*windowBits=*/-15, 8,
+                         strategy),
+            Z_OK);
+  Bytes out(deflateBound(&zs, static_cast<uLong>(data.size())));
+  zs.next_in = const_cast<Bytef*>(data.data());
+  zs.avail_in = static_cast<uInt>(data.size());
+  zs.next_out = out.data();
+  zs.avail_out = static_cast<uInt>(out.size());
+  EXPECT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
+  out.resize(zs.total_out);
+  deflateEnd(&zs);
+  return out;
+}
+
+// zlib's blocks differ from zlite's: other block sizes, code shapes and
+// match choices, and fixed-code, Huffman-only and run-length streams.
+TEST(EntropyIdentity, InflateZlibStreams) {
+  const Generator generators[] = {random_bytes, periodic_bytes,
+                                  long_run_bytes, codeword_bytes};
+  for (const Generator gen : generators) {
+    const Bytes data = gen(200 * kKiB + 17, 0x21B);
+    for (int level = 1; level <= 9; ++level) {
+      SCOPED_TRACE("level " + std::to_string(level));
+      const Bytes packed =
+          zlib_deflate(BytesView(data), level, Z_DEFAULT_STRATEGY);
+      expect_inflate_identical_capped(BytesView(packed), data.size());
+      EXPECT_EQ(zlite::inflate(BytesView(packed)), data);
+    }
+    for (const int strategy : {Z_FIXED, Z_HUFFMAN_ONLY, Z_RLE, Z_FILTERED}) {
+      SCOPED_TRACE("strategy " + std::to_string(strategy));
+      const Bytes packed = zlib_deflate(BytesView(data), 6, strategy);
+      expect_inflate_identical_capped(BytesView(packed), data.size());
+      EXPECT_EQ(zlite::inflate(BytesView(packed)), data);
+    }
+  }
+}
+#endif
+
+// Small streams of every block type, for the damage sweeps.
+std::vector<std::pair<Bytes, size_t>> small_streams() {
+  std::vector<std::pair<Bytes, size_t>> streams;
+  std::mt19937_64 rng(0x5A11);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{40}, size_t{700},
+                         size_t{3000}}) {
+    Bytes data(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Text-like with repeats, so both codes and matches appear.
+      data[i] = i > 8 && rng() % 3 == 0 ? data[i - 1 - rng() % 8]
+                                        : static_cast<uint8_t>('a' + rng() % 6);
+    }
+    for (const zlite::Level level :
+         {zlite::Level::kStored, zlite::Level::kFast,
+          zlite::Level::kDefault}) {
+      streams.emplace_back(zlite::deflate(BytesView(data), level), n);
+    }
+  }
+  // A fixed-code block: short random text costs less without a header.
+  const Bytes fixed = [&] {
+    Bytes d(60);
+    for (auto& x : d) x = static_cast<uint8_t>('a' + rng() % 20);
+    return d;
+  }();
+  streams.emplace_back(zlite::deflate(BytesView(fixed)), fixed.size());
+  return streams;
+}
+
+// Every prefix of each small stream: the inflaters must run out of input
+// at the same call, or finish identically where a prefix is complete.
+TEST(EntropyIdentity, InflateEveryTruncation) {
+  for (const auto& [stream, n] : small_streams()) {
+    for (size_t cut = 0; cut <= stream.size(); ++cut) {
+      // Its own allocation, so a read past the cut trips the sanitizer.
+      const Bytes prefix(stream.begin(),
+                         stream.begin() + static_cast<std::ptrdiff_t>(cut));
+      SCOPED_TRACE("cut " + std::to_string(cut) + " of " +
+                   std::to_string(stream.size()));
+      expect_inflate_identical(BytesView(prefix), 0, 0);
+      expect_inflate_identical(BytesView(prefix), 0, n);
+    }
+  }
+}
+
+// Every cap from 0 past the true size, on streams whose matches run up to
+// the 258-byte limit: the cap must trip at the same symbol whether the
+// fast loop or the checked path is running when it is reached.
+TEST(EntropyIdentity, InflateEveryCap) {
+  for (const Generator gen : {long_run_bytes, periodic_bytes}) {
+    const Bytes data = gen(5000, 0xCA9);
+    for (const zlite::Level level :
+         {zlite::Level::kFast, zlite::Level::kDefault}) {
+      const Bytes packed = zlite::deflate(BytesView(data), level);
+      for (size_t cap = 1; cap <= data.size() + 1; ++cap) {
+        SCOPED_TRACE("cap " + std::to_string(cap));
+        expect_inflate_identical(BytesView(packed), 0, cap);
+      }
+    }
+  }
+}
+
+// Seeded single- and multi-bit flips in each small stream: bad codes,
+// bad lengths and distances, over-subscribed tables and reserved block
+// types must fail alike, and flips that still decode must agree.
+TEST(EntropyIdentity, InflateSeededBitFlips) {
+  std::mt19937_64 rng(0xF11B5);
+  for (const auto& [stream, n] : small_streams()) {
+    if (stream.empty()) continue;
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes damaged = stream;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int f = 0; f < flips; ++f) {
+        // Half the flips land in the first bytes, where the headers are.
+        const size_t at = rng() % 2 == 0 ? rng() % std::min<size_t>(
+                                                        damaged.size(), 48)
+                                         : rng() % damaged.size();
+        damaged[at] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      }
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_inflate_identical(BytesView(damaged), 0, 0);
+      expect_inflate_identical(BytesView(damaged), 0, n + 16);
+    }
+  }
+}
+
+// Random bytes under each block type: forged dynamic headers (bad code
+// counts, repeat with no previous, length overruns, incomplete and
+// over-subscribed codes) and random fixed-code and stored data.
+TEST(EntropyIdentity, InflateForgedStreams) {
+  std::mt19937_64 rng(0xF0A6ED);
+  for (int trial = 0; trial < 3000; ++trial) {
+    Bytes forged = random_bytes(1 + rng() % 300, rng());
+    // Bits 1-2 of the first byte are the block type.
+    const unsigned btype = trial % 4;
+    forged[0] = static_cast<uint8_t>((forged[0] & ~6u) | (btype << 1));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_inflate_identical(BytesView(forged), 0, 0);
+    expect_inflate_identical(BytesView(forged), 0, 1 + rng() % 4096);
+  }
+}
+
+// Random get sequences of 0 to 64 bits that run past the end: each get
+// returns the same value or throws the same error, and the position
+// after it matches, also after the first failure.
+TEST(EntropyIdentity, MsbReaderRandomGets) {
+  std::mt19937_64 rng(0x3D6E75);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Bytes buf = random_bytes(rng() % 40, rng());
+    BitReader got{BytesView(buf)};
+    ref::BitReader want{BytesView(buf)};
+    for (int i = 0; i < 40; ++i) {
+      const unsigned nbits = static_cast<unsigned>(rng() % 65);
+      const bool one = nbits == 1 && rng() % 2 == 0;
+      const auto get = [&](auto& r) {
+        return outcome_of([&] {
+          const uint64_t v = one ? r.get_bit() : r.get_bits(nbits);
+          Bytes b(8);
+          for (int k = 0; k < 8; ++k) b[k] = static_cast<uint8_t>(v >> (8 * k));
+          return b;
+        });
+      };
+      ASSERT_EQ(get(got), get(want)) << "trial " << trial << " get " << i
+                                     << " of " << nbits << " bits";
+      ASSERT_EQ(got.bit_pos(), want.bit_pos());
+      ASSERT_EQ(got.bits_remaining(), want.bits_remaining());
+    }
+  }
+}
+
+TEST(EntropyIdentity, LsbReaderRandomGets) {
+  std::mt19937_64 rng(0x15BE75);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Bytes buf = random_bytes(rng() % 40, rng());
+    LsbBitReader got{BytesView(buf)};
+    ref::LsbBitReader want{BytesView(buf)};
+    for (int i = 0; i < 40; ++i) {
+      const unsigned op = static_cast<unsigned>(rng() % 12);
+      const unsigned nbits = static_cast<unsigned>(rng() % 65);
+      const size_t nbytes = rng() % 12;
+      // Mostly gets; some aligned byte runs, as stored blocks read them.
+      const auto step = [&](auto& r) {
+        return outcome_of([&] {
+          if (op == 0) {
+            r.align_to_byte();
+            const BytesView v = r.get_bytes(nbytes);
+            return Bytes(v.begin(), v.end());
+          }
+          const uint64_t v = op == 1 ? r.get_bit() : r.get_bits(nbits);
+          Bytes b(8);
+          for (int k = 0; k < 8; ++k) b[k] = static_cast<uint8_t>(v >> (8 * k));
+          return b;
+        });
+      };
+      ASSERT_EQ(step(got), step(want)) << "trial " << trial << " step " << i
+                                       << " op " << op;
+      ASSERT_EQ(got.bits_remaining(), want.bits_remaining());
+    }
+  }
+}
+
+// Every length up to 1 KiB at every offset from an 8-byte boundary, each
+// continuing from the previous CRC.
+TEST(EntropyIdentity, Crc32SlicedMatchesBytewise) {
+  const Bytes buf = random_bytes(1024 + 8, 0xC4C);
+  uint32_t got_seed = 0, want_seed = 0;
+  for (size_t len = 0; len <= 1024; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const BytesView data(buf.data() + offset, len);
+      const uint32_t got = crc32(data, got_seed);
+      const uint32_t want = ref::crc32(data, want_seed);
+      ASSERT_EQ(got, want) << "length " << len << " offset " << offset;
+      ASSERT_EQ(crc32(data), ref::crc32(data));
+      got_seed = got;
+      want_seed = want;
+    }
   }
 }
 

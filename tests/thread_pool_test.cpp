@@ -128,6 +128,55 @@ TEST(Scheduler, BackpressureBoundsInFlightWindow) {
   EXPECT_LE(max_uncommitted.load(), window);
 }
 
+// Polls `done` until it holds or 10 s pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+// A submit into a window with room commits the oldest chunk when it is
+// already produced, and never more than one chunk.
+TEST(Scheduler, SubmitCommitsAnAlreadyProducedOldestChunk) {
+  std::vector<size_t> committed;
+  ParallelChunkScheduler<size_t> sched(
+      ChunkSchedulerConfig{2, 4},
+      [&](size_t i, size_t&&) { committed.push_back(i); });
+  const auto echo = [](size_t, size_t i) { return i; };
+  sched.submit(echo);
+  ASSERT_TRUE(eventually([&] { return sched.ready_count() == 1; }));
+  EXPECT_TRUE(committed.empty());
+  sched.submit(echo);  // window of 4 has room: no wait, chunk 0 commits
+  EXPECT_EQ(committed, std::vector<size_t>{0});
+  EXPECT_EQ(sched.in_flight(), 1u);
+  sched.finish();
+
+  // Chunk 0 held back while 1 and 2 finish: no submit commits out of
+  // order, and once all three are produced a submit commits only one.
+  committed.clear();
+  std::atomic<bool> release{false};
+  sched.submit([&](size_t, size_t i) {
+    while (!release.load()) std::this_thread::yield();
+    return i;
+  });
+  sched.submit(echo);
+  sched.submit(echo);
+  EXPECT_TRUE(committed.empty());
+  release = true;
+  ASSERT_TRUE(eventually([&] { return sched.ready_count() == 3; }));
+  sched.submit(echo);
+  EXPECT_EQ(committed, std::vector<size_t>{0});
+  sched.submit(echo);
+  EXPECT_EQ(committed, (std::vector<size_t>{0, 1}));
+  sched.finish();
+  EXPECT_EQ(committed, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
 TEST(Scheduler, ProduceExceptionPropagatesAfterDrain) {
   std::atomic<int> produced{0};
   ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{3, 4},
