@@ -14,7 +14,9 @@
 // The decoders are timed the same way: zlite inflate against the
 // reference's canonical bit walk, on the stage-4 payload of a real chunk
 // (predict+quantize and Huffman over a Nyx-like and a sparse plume
-// field), and CRC-32 against the bytewise table.
+// field), and CRC-32 against the bytewise table.  So is the Huffman
+// table set-up, against the reference's heap builder and dense table
+// writer and parser.
 //
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
@@ -22,6 +24,8 @@
 //   * probe-table Huffman decode is below 2x the tree walk,
 //   * Huffman encode is below 1.5x the reference, or zlite deflate below
 //     1.2x, over a MB of each payload (the speedup on the summed time),
+//   * Huffman set-up (build plus table write, table parse plus decode
+//     tables) is below 3x the reference over a narrow and a wide chunk,
 //   * zlite inflate is below 1.5x the reference over both chunk payloads,
 //     or CRC-32 below 2x the reference, or
 //   * dispatch silently fell back to scalar although cpuid reports the
@@ -221,17 +225,19 @@ std::pair<double, double> bench_entropy_encoders(
     for (uint32_t s : symbols) ++freq[s];
     const szsec::huffman::CodeTable table =
         szsec::huffman::build_code_table(freq);
+    const ref::HuffmanTable ref_table = ref::huffman_build_table(freq);
     const Bytes packed = szsec::huffman::encode(table, symbols);
     const BytesView in(packed);
-    SZSEC_REQUIRE(packed == ref::huffman_encode(table, symbols),
+    SZSEC_REQUIRE(packed == ref::huffman_encode(ref_table, symbols),
                   "huffman encode differs from the reference");
     SZSEC_REQUIRE(szsec::zlite::deflate(in) == ref::deflate(in),
                   "zlite deflate differs from the reference");
 
     const size_t symbol_bytes = kCount * sizeof(uint32_t);
     encode.add(out, "huffman-encode-" + payload, time_mbps(symbol_bytes, [&] {
-                 SZSEC_REQUIRE(!ref::huffman_encode(table, symbols).empty(),
-                               "empty");
+                 SZSEC_REQUIRE(
+                     !ref::huffman_encode(ref_table, symbols).empty(),
+                     "empty");
                }),
                time_mbps(symbol_bytes, [&] {
                  SZSEC_REQUIRE(!szsec::huffman::encode(table, symbols).empty(),
@@ -249,13 +255,11 @@ std::pair<double, double> bench_entropy_encoders(
 
 // ------------------------------------------------------------- Decoders
 
-// What stage 4 of the codec sees for one ~1 MiB chunk (4 x 256 x 256
-// floats): the assembled payload after predict+quantize and Huffman.
-// Hard: a Nyx-like density (log-normal smooth noise with 25% white
-// noise) at eb 1e-2, near-random packed codes that deflate to mostly
-// literals.  Easy: a sparse plume (smooth noise clipped at a threshold)
-// at eb 1e-6, long zero-bin runs that deflate to matches.
-Bytes chunk_payload(bool hard) {
+// Predict+quantize of one ~1 MiB chunk (4 x 256 x 256 floats).  Hard: a
+// Nyx-like density (log-normal smooth noise with 25% white noise) at eb
+// 1e-2, thousands of used bins.  Easy: a sparse plume (smooth noise
+// clipped at a threshold) at eb 1e-6, mostly the zero bin.
+szsec::sz::QuantizedField chunk_quant(bool hard) {
   namespace data = szsec::data;
   const szsec::Dims dims{4, 256, 256};
   const std::vector<float> coarse =
@@ -274,8 +278,15 @@ Bytes chunk_payload(bool hard) {
   }
   szsec::sz::Params params;
   params.abs_error_bound = hard ? 1e-2 : 1e-6;
-  const szsec::sz::QuantizedField q =
-      szsec::sz::predict_quantize(field, dims, params);
+  return szsec::sz::predict_quantize(field, dims, params);
+}
+
+// What stage 4 of the codec sees for one chunk: the assembled payload
+// after predict+quantize and Huffman.  Hard packs to near-random codes
+// that deflate to mostly literals, easy to long zero-bin runs that
+// deflate to matches.
+Bytes chunk_payload(bool hard) {
+  const szsec::sz::QuantizedField q = chunk_quant(hard);
   const szsec::sz::EncodedQuant enc = szsec::sz::huffman_encode_codes(q);
   szsec::core::codec::PayloadView p;
   p.tree_or_cipher = BytesView(enc.tree);
@@ -323,6 +334,88 @@ std::pair<double, double> bench_decoders(std::vector<KernelResult>& out) {
                       [&] { sink = szsec::crc32(bytes, sink); }));
   }
   return {inflate.speedup(), crc.speedup()};
+}
+
+// -------------------------------------------------------- Huffman set-up
+
+// Stage-3 set-up for one chunk's codes, reference against library, in two
+// halves: build plus table write (histogram, lengths, codewords, blob),
+// and table parse plus the decoder's canonical tables (a decode of zero
+// symbols builds them and returns).  Narrow: 4,096 quantization codes
+// spread over about 400 of 65,536 bins.  Wide: the hard chunk's 262,144
+// codes.  MB/s count the chunk's code bytes per set-up; returns the
+// speedup on the summed time.
+double bench_huffman_setup(std::vector<KernelResult>& out) {
+  namespace ref = szsec::testing::reference;
+  namespace huffman = szsec::huffman;
+  std::vector<uint32_t> narrow(4096);
+  std::mt19937_64 rng(0x5E7);
+  std::normal_distribution<double> gauss(0.0, 100.0);
+  for (auto& s : narrow) {
+    s = static_cast<uint32_t>(32768 + std::lround(gauss(rng)));
+  }
+  ReferenceTimes setup;
+  for (const bool wide : {false, true}) {
+    const std::vector<uint32_t> symbols =
+        wide ? chunk_quant(true).codes : narrow;
+    const std::string name =
+        std::string("huffman-setup-") + (wide ? "wide" : "narrow");
+    // Enough set-ups per timed call for the CPU clock to resolve.
+    const size_t reps = wide ? 4 : 100;
+    const auto ref_write = [&] {
+      const uint32_t max_code = *std::max_element(symbols.begin(),
+                                                  symbols.end());
+      std::vector<uint64_t> freq(size_t{max_code} + 1, 0);
+      for (const uint32_t s : symbols) ++freq[s];
+      return ref::huffman_serialize_table(ref::huffman_build_table(freq));
+    };
+    const auto lib_write = [&] {
+      return huffman::serialize_table(
+          huffman::build_code_table(huffman::count_symbols(symbols)));
+    };
+    const Bytes blob = lib_write();
+    SZSEC_REQUIRE(blob == ref_write(),
+                  "huffman table differs from the reference");
+    const BytesView tree(blob);
+    const huffman::CodeTable table =
+        huffman::deserialize_table(tree, symbols.size());
+    std::printf("%s: %zu symbols, %zu of %llu bins used, %zu-byte table\n",
+                name.c_str(), symbols.size(), table.used_symbols(),
+                static_cast<unsigned long long>(table.alphabet_size()),
+                blob.size());
+
+    const size_t bytes = reps * symbols.size() * sizeof(uint32_t);
+    setup.add(out, name + "-write", time_mbps(bytes, [&] {
+                for (size_t r = 0; r < reps; ++r) {
+                  SZSEC_REQUIRE(!ref_write().empty(), "empty");
+                }
+              }),
+              time_mbps(bytes, [&] {
+                for (size_t r = 0; r < reps; ++r) {
+                  SZSEC_REQUIRE(!lib_write().empty(), "empty");
+                }
+              }));
+    setup.add(out, name + "-parse", time_mbps(bytes, [&] {
+                for (size_t r = 0; r < reps; ++r) {
+                  SZSEC_REQUIRE(
+                      ref::huffman_decode(ref::huffman_deserialize_table(tree),
+                                          {}, 0)
+                          .empty(),
+                      "decoded");
+                }
+              }),
+              time_mbps(bytes, [&] {
+                for (size_t r = 0; r < reps; ++r) {
+                  SZSEC_REQUIRE(
+                      huffman::decode(
+                          huffman::deserialize_table(tree, symbols.size()),
+                          {}, 0)
+                          .empty(),
+                      "decoded");
+                }
+              }));
+  }
+  return setup.speedup();
 }
 
 // ------------------------------------------------------------ SZ kernels
@@ -392,6 +485,7 @@ int main(int argc, char** argv) {
   bench_huffman(results, huffman_ratio);
   const auto [encode_ratio, deflate_ratio] = bench_entropy_encoders(results);
   const auto [inflate_ratio, crc_ratio] = bench_decoders(results);
+  const double setup_ratio = bench_huffman_setup(results);
 
   // SZ row kernels at every available level.
   bench_sz(0, "scalar", results);
@@ -447,6 +541,14 @@ int main(int argc, char** argv) {
   }
   {
     FloorResult f;
+    f.name = "huffman-setup-vs-reference";
+    f.floor = 3.0;
+    f.ratio = setup_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
     f.name = "zlite-deflate-vs-reference";
     f.floor = 1.2;
     f.ratio = deflate_ratio;
@@ -471,9 +573,9 @@ int main(int argc, char** argv) {
   }
 
   // Human-readable table.
-  std::printf("%-24s %-10s %12s\n", "kernel", "level", "MB/s");
+  std::printf("%-28s %-10s %12s\n", "kernel", "level", "MB/s");
   for (const KernelResult& r : results) {
-    std::printf("%-24s %-10s %12.1f\n", r.kernel.c_str(), r.level.c_str(),
+    std::printf("%-28s %-10s %12.1f\n", r.kernel.c_str(), r.level.c_str(),
                 r.mbps);
   }
   std::printf("\ndispatch: aes=%s sz=%s (%s)\n", aes_backend.c_str(),

@@ -57,13 +57,13 @@ huffman::CodeTable random_code_table(size_t alphabet, std::mt19937_64& rng) {
     if (lengths[s] == 0) lengths[s] = huffman::kMaxCodeLength;
   }
   try {
-    return huffman::CodeTable::from_lengths(std::move(lengths));
+    return huffman::CodeTable::from_lengths(lengths);
   } catch (const Error&) {
     // Infeasible draw: fall back to a fixed-length code.
     const unsigned l = static_cast<unsigned>(
         std::ceil(std::log2(static_cast<double>(alphabet))));
     std::vector<uint8_t> fixed(alphabet, static_cast<uint8_t>(l));
-    return huffman::CodeTable::from_lengths(std::move(fixed));
+    return huffman::CodeTable::from_lengths(fixed);
   }
 }
 
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       sz::predict_quantize(std::span<const float>(d.values), d.dims, params);
   const sz::EncodedQuant enc = sz::huffman_encode_codes(q);
   const huffman::CodeTable true_table =
-      huffman::deserialize_table(BytesView(enc.tree));
+      huffman::deserialize_table(BytesView(enc.tree), enc.symbol_count);
 
   std::printf("field: %s, %zu values; tree %zu bytes, codewords %zu bytes\n",
               d.name.c_str(), d.values.size(), enc.tree.size(),

@@ -130,6 +130,16 @@ void emit_huffman(const fs::path& root) {
   write_entry(dir, "regress_count_exceeds_bits.bin",
               BytesView(frame(0xFFFF, tree, BytesView(bits).subspan(0, 2))));
   write_entry(dir, "empty_tree.bin", BytesView(frame(4, {}, bits)));
+  // Alphabet bomb: an 11-byte table declaring 2^28 symbols of length 28
+  // (a complete code) for a 96-symbol stream — regression seed for the
+  // used-symbol bound in huffman::deserialize_table.
+  ByteWriter w;
+  w.put_varint(huffman::kMaxAlphabet);
+  w.put_u8(28);
+  w.put_varint(huffman::kMaxAlphabet);
+  const Bytes bomb = w.take();
+  write_entry(dir, "regress_table_alphabet_bomb.bin",
+              BytesView(frame(symbols.size(), BytesView(bomb), bits)));
 }
 
 void emit_zlite(const fs::path& root) {

@@ -1,120 +1,85 @@
 #include "huffman/huffman.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
-#include <queue>
+#include <numeric>
 
 #include "common/error.h"
 
 namespace szsec::huffman {
 
-size_t CodeTable::used_symbols() const {
-  size_t n = 0;
-  for (uint8_t l : lengths) n += (l != 0);
-  return n;
-}
-
 namespace {
 
-// Computes unrestricted Huffman code lengths for the nonzero frequencies
-// via the classic two-queue/heap merge.  Returns max length encountered.
-unsigned huffman_lengths(std::span<const uint64_t> freq,
-                         std::vector<uint8_t>& lengths) {
-  struct Node {
-    uint64_t weight;
-    uint32_t id;  // tie-break for determinism
-    int32_t left = -1, right = -1;
-    uint32_t symbol = 0;  // valid for leaves
-    bool leaf = false;
-  };
-  std::vector<Node> nodes;
-  nodes.reserve(freq.size() * 2);
-  for (size_t s = 0; s < freq.size(); ++s) {
-    if (freq[s] > 0) {
-      nodes.push_back({freq[s], static_cast<uint32_t>(nodes.size()), -1, -1,
-                       static_cast<uint32_t>(s), true});
-    }
+// Stable LSD radix sort of `items` by key(item), 8 bits per pass, with no
+// pass above the largest key's top byte.
+template <typename Key>
+void radix_sort(std::vector<uint32_t>& items, Key key) {
+  uint64_t max_key = 0;
+  for (const uint32_t i : items) max_key = std::max<uint64_t>(max_key, key(i));
+  std::vector<uint32_t> sorted(items.size());
+  for (unsigned shift = 0; shift < 64 && (max_key >> shift) != 0;
+       shift += 8) {
+    std::array<size_t, 257> next{};
+    for (const uint32_t i : items) ++next[((key(i) >> shift) & 0xFF) + 1];
+    for (size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
+    for (const uint32_t i : items) sorted[next[(key(i) >> shift) & 0xFF]++] = i;
+    items.swap(sorted);
   }
-  lengths.assign(freq.size(), 0);
-  if (nodes.empty()) return 0;
-  if (nodes.size() == 1) {
-    // A degenerate alphabet still needs one bit per symbol so the decoder
-    // can count symbols.
-    lengths[nodes[0].symbol] = 1;
-    return 1;
-  }
-
-  auto cmp = [&nodes](int32_t a, int32_t b) {
-    if (nodes[a].weight != nodes[b].weight) {
-      return nodes[a].weight > nodes[b].weight;
-    }
-    return nodes[a].id > nodes[b].id;
-  };
-  std::priority_queue<int32_t, std::vector<int32_t>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    heap.push(static_cast<int32_t>(i));
-  }
-  while (heap.size() > 1) {
-    const int32_t a = heap.top();
-    heap.pop();
-    const int32_t b = heap.top();
-    heap.pop();
-    Node parent;
-    parent.weight = nodes[a].weight + nodes[b].weight;
-    parent.id = static_cast<uint32_t>(nodes.size());
-    parent.left = a;
-    parent.right = b;
-    nodes.push_back(parent);
-    heap.push(static_cast<int32_t>(nodes.size() - 1));
-  }
-  const int32_t root = heap.top();
-
-  // Iterative depth assignment.
-  unsigned max_len = 0;
-  std::vector<std::pair<int32_t, unsigned>> stack{{root, 0}};
-  while (!stack.empty()) {
-    auto [idx, depth] = stack.back();
-    stack.pop_back();
-    const Node& n = nodes[idx];
-    if (n.leaf) {
-      SZSEC_REQUIRE(depth <= 255, "code length overflow");
-      lengths[n.symbol] = static_cast<uint8_t>(depth);
-      max_len = std::max(max_len, depth);
-    } else {
-      stack.push_back({n.left, depth + 1});
-      stack.push_back({n.right, depth + 1});
-    }
-  }
-  return max_len;
 }
 
-}  // namespace
-
-CodeTable build_code_table(std::span<const uint64_t> frequencies) {
-  std::vector<uint8_t> lengths;
-  std::vector<uint64_t> scaled(frequencies.begin(), frequencies.end());
-  // Rescale until the tree respects kMaxCodeLength.  Halving (with a floor
-  // of 1 to keep symbols alive) provably terminates: eventually all
-  // nonzero frequencies are 1 and the tree is balanced.
-  while (huffman_lengths(scaled, lengths) > kMaxCodeLength) {
-    for (auto& f : scaled) {
-      if (f > 0) f = (f + 1) / 2;
+// Code lengths of an unrestricted Huffman tree over n >= 2 leaves with
+// nonzero weights `w` (leaf i is used symbol i), left in depth[0 .. n);
+// returns the longest.
+//
+// The tree is the one a min-heap ordered by (weight, id) merges, where
+// leaf i has id i and the j-th merged node id n + j: leaves sorted by
+// (weight, id) and merged nodes in creation order are each already in
+// that order (merged weights never decrease, and merged ids exceed every
+// leaf id), so the smaller of the two queue fronts is the heap's next pop.
+unsigned huffman_depths(std::span<const uint64_t> w,
+                        std::vector<uint32_t>& depth) {
+  const size_t n = w.size();
+  // Sorting by weight from id order keeps ties in id order.
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  radix_sort(order, [&w](uint32_t i) { return w[i]; });
+  // depth[k] first holds the parent of node k: leaves are 0 .. n - 1 and
+  // merged nodes n .. 2n - 2, and a parent always follows its children.
+  depth.assign(2 * n - 1, 0);
+  std::vector<uint64_t> merged(n - 1);
+  size_t next_leaf = 0, next_merged = 0, made = 0;
+  const auto pop = [&](uint64_t& weight) -> uint32_t {
+    if (next_leaf < n &&
+        (next_merged == made || w[order[next_leaf]] <= merged[next_merged])) {
+      const uint32_t leaf = order[next_leaf++];
+      weight = w[leaf];
+      return leaf;
     }
+    weight = merged[next_merged];
+    return static_cast<uint32_t>(n + next_merged++);
+  };
+  for (; made + 1 < n; ++made) {
+    uint64_t wa = 0, wb = 0;
+    const uint32_t a = pop(wa);
+    const uint32_t b = pop(wb);
+    merged[made] = wa + wb;
+    depth[a] = depth[b] = static_cast<uint32_t>(n + made);
   }
-  return CodeTable::from_lengths(std::move(lengths));
+  // Parent links become depths from the root (the last node) down.
+  depth[2 * n - 2] = 0;
+  for (size_t k = 2 * n - 2; k-- > 0;) depth[k] = depth[depth[k]] + 1;
+  return *std::max_element(depth.begin(), depth.begin() + n);
 }
 
-CodeTable CodeTable::from_lengths(std::vector<uint8_t> lengths) {
-  CodeTable t;
-  t.lengths = std::move(lengths);
-  t.codes.assign(t.lengths.size(), 0);
-
-  // Kraft check + canonical assignment in (length, symbol) order.
-  std::vector<uint32_t> count(kMaxCodeLength + 1, 0);
-  for (uint8_t l : t.lengths) {
+// Checks the lengths (each at most kMaxCodeLength, Kraft sum at most 1)
+// and assigns the canonical codewords in (length, symbol) order.
+void assign_codes(CodeTable& t) {
+  std::array<uint32_t, kMaxCodeLength + 1> count{};
+  for (const uint8_t l : t.lengths) {
     SZSEC_CHECK_FORMAT(l <= kMaxCodeLength, "code length exceeds limit");
-    if (l > 0) ++count[l];
+    ++count[l];
   }
   uint64_t kraft = 0;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
@@ -123,73 +88,178 @@ CodeTable CodeTable::from_lengths(std::vector<uint8_t> lengths) {
   const uint64_t kraft_limit = uint64_t{1} << kMaxCodeLength;
   SZSEC_CHECK_FORMAT(kraft <= kraft_limit, "Kraft inequality violated");
 
-  std::vector<uint32_t> next_code(kMaxCodeLength + 2, 0);
+  std::array<uint32_t, kMaxCodeLength + 1> next_code{};
   uint32_t code = 0;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
     code = (code + count[l - 1]) << 1;
     next_code[l] = code;
   }
-  for (size_t s = 0; s < t.lengths.size(); ++s) {
-    const uint8_t l = t.lengths[s];
-    if (l > 0) t.codes[s] = next_code[l]++;
+  t.codes.resize(t.lengths.size());
+  for (size_t i = 0; i < t.lengths.size(); ++i) {
+    t.codes[i] = next_code[t.lengths[i]]++;
   }
+}
+
+}  // namespace
+
+Histogram count_symbols(std::span<const uint32_t> stream) {
+  Histogram h;
+  if (stream.empty()) return h;
+  uint32_t max_symbol = 0;
+  for (const uint32_t s : stream) max_symbol = std::max(max_symbol, s);
+  h.alphabet = uint64_t{max_symbol} + 1;
+  // Symbols are listed as first seen and sorted afterwards, so the dense
+  // counters are never scanned.
+  std::vector<uint64_t> count(static_cast<size_t>(h.alphabet), 0);
+  for (const uint32_t s : stream) {
+    if (count[s]++ == 0) h.symbols.push_back(s);
+  }
+  radix_sort(h.symbols, [](uint32_t s) { return s; });
+  h.counts.resize(h.symbols.size());
+  for (size_t i = 0; i < h.symbols.size(); ++i) {
+    h.counts[i] = count[h.symbols[i]];
+  }
+  return h;
+}
+
+CodeTable build_code_table(const Histogram& histogram) {
+  CodeTable t;
+  t.alphabet = histogram.alphabet;
+  t.symbols = histogram.symbols;
+  // A lone symbol still gets a 1-bit code so the decoder can count
+  // symbols.
+  t.lengths.assign(t.symbols.size(), 1);
+  if (t.symbols.size() >= 2) {
+    std::vector<uint64_t> w = histogram.counts;
+    std::vector<uint32_t> depth;
+    // Rescale until the tree respects kMaxCodeLength.  Halving (with a
+    // floor of 1 to keep symbols alive) provably terminates: eventually
+    // all frequencies are 1 and the tree is balanced.
+    while (huffman_depths(w, depth) > kMaxCodeLength) {
+      for (auto& f : w) f = (f + 1) / 2;
+    }
+    for (size_t i = 0; i < t.lengths.size(); ++i) {
+      t.lengths[i] = static_cast<uint8_t>(depth[i]);
+    }
+  }
+  assign_codes(t);
+  return t;
+}
+
+CodeTable build_code_table(std::span<const uint64_t> frequencies) {
+  Histogram h;
+  h.alphabet = frequencies.size();
+  for (size_t s = 0; s < frequencies.size(); ++s) {
+    if (frequencies[s] == 0) continue;
+    h.symbols.push_back(static_cast<uint32_t>(s));
+    h.counts.push_back(frequencies[s]);
+  }
+  return build_code_table(h);
+}
+
+CodeTable CodeTable::from_lengths(const std::vector<uint8_t>& lengths) {
+  CodeTable t;
+  t.alphabet = lengths.size();
+  for (size_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] == 0) continue;
+    t.symbols.push_back(static_cast<uint32_t>(s));
+    t.lengths.push_back(lengths[s]);
+  }
+  assign_codes(t);
   return t;
 }
 
 Bytes serialize_table(const CodeTable& table) {
-  // Run-length encode the length array: scientific quantization arrays have
-  // long zero runs (most bins unused), so RLE keeps the tree blob small.
+  // Run-length encode the lengths over the whole alphabet: scientific
+  // quantization arrays leave most bins unused, so each gap between used
+  // symbols is one zero run and the blob stays small.
   ByteWriter w;
-  w.put_varint(table.lengths.size());
-  size_t i = 0;
-  while (i < table.lengths.size()) {
-    const uint8_t l = table.lengths[i];
-    size_t run = 1;
-    while (i + run < table.lengths.size() && table.lengths[i + run] == l) {
-      ++run;
+  w.put_varint(table.alphabet);
+  const std::vector<uint32_t>& sym = table.symbols;
+  uint64_t pos = 0;
+  for (size_t i = 0; i < sym.size();) {
+    if (sym[i] > pos) {
+      w.put_u8(0);
+      w.put_varint(sym[i] - pos);
     }
-    w.put_u8(l);
-    w.put_varint(run);
-    i += run;
+    // One run: consecutive symbols with one length.
+    size_t j = i + 1;
+    while (j < sym.size() && sym[j] - sym[j - 1] == 1 &&
+           table.lengths[j] == table.lengths[i]) {
+      ++j;
+    }
+    w.put_u8(table.lengths[i]);
+    w.put_varint(j - i);
+    pos = uint64_t{sym[j - 1]} + 1;
+    i = j;
+  }
+  if (pos < table.alphabet) {
+    w.put_u8(0);
+    w.put_varint(table.alphabet - pos);
   }
   return w.take();
 }
 
-CodeTable deserialize_table(BytesView blob) {
+CodeTable deserialize_table(BytesView blob, uint64_t symbol_count) {
   ByteReader r(blob);
-  const uint64_t alphabet = r.get_varint();
-  SZSEC_CHECK_FORMAT(alphabet <= (uint64_t{1} << 28),
-                     "implausible alphabet size");
-  std::vector<uint8_t> lengths;
-  lengths.reserve(static_cast<size_t>(alphabet));
-  while (lengths.size() < alphabet) {
+  CodeTable t;
+  t.alphabet = r.get_varint();
+  SZSEC_CHECK_FORMAT(t.alphabet <= kMaxAlphabet, "implausible alphabet size");
+  for (uint64_t pos = 0; pos < t.alphabet;) {
     const uint8_t l = r.get_u8();
     const uint64_t run = r.get_varint();
-    SZSEC_CHECK_FORMAT(run > 0 && lengths.size() + run <= alphabet,
+    SZSEC_CHECK_FORMAT(run > 0 && run <= t.alphabet - pos,
                        "bad run length in code table");
-    lengths.insert(lengths.end(), static_cast<size_t>(run), l);
+    if (l != 0) {
+      // Checked before the run is stored, so a forged table costs no more
+      // memory than the stream it claims to code.
+      SZSEC_CHECK_FORMAT(run <= symbol_count - t.symbols.size(),
+                         "code table uses more symbols than the stream holds");
+      for (uint64_t k = 0; k < run; ++k) {
+        t.symbols.push_back(static_cast<uint32_t>(pos + k));
+      }
+      t.lengths.insert(t.lengths.end(), static_cast<size_t>(run), l);
+    }
+    pos += run;
   }
   SZSEC_CHECK_FORMAT(r.done(), "trailing bytes after code table");
-  return CodeTable::from_lengths(std::move(lengths));
+  assign_codes(t);
+  return t;
 }
 
+namespace {
+
+// Codeword and length of every symbol up to the largest used one, packed
+// as code << 8 | length; 0 for a symbol without a code.
+std::vector<uint64_t> codeword_lut(const CodeTable& table) {
+  std::vector<uint64_t> lut(
+      table.symbols.empty() ? 0 : size_t{table.symbols.back()} + 1, 0);
+  for (size_t i = 0; i < table.symbols.size(); ++i) {
+    lut[table.symbols[i]] =
+        (uint64_t{table.codes[i]} << 8) | table.lengths[i];
+  }
+  return lut;
+}
+
+}  // namespace
+
 Bytes encode(const CodeTable& table, std::span<const uint32_t> symbols) {
+  const std::vector<uint64_t> lut = codeword_lut(table);
   BitWriter w;
   for (uint32_t s : symbols) {
-    SZSEC_REQUIRE(s < table.lengths.size() && table.lengths[s] > 0,
-                  "symbol has no code");
-    w.put_bits(table.codes[s], table.lengths[s]);
+    SZSEC_REQUIRE(s < lut.size() && lut[s] != 0, "symbol has no code");
+    w.put_bits(lut[s] >> 8, static_cast<unsigned>(lut[s] & 0xFF));
   }
   return w.finish();
 }
 
 size_t encoded_bits(const CodeTable& table,
                     std::span<const uint32_t> symbols) {
+  const std::vector<uint64_t> lut = codeword_lut(table);
   size_t bits = 0;
   for (uint32_t s : symbols) {
-    SZSEC_REQUIRE(s < table.lengths.size() && table.lengths[s] > 0,
-                  "symbol has no code");
-    bits += table.lengths[s];
+    SZSEC_REQUIRE(s < lut.size() && lut[s] != 0, "symbol has no code");
+    bits += lut[s] & 0xFF;
   }
   return bits;
 }
@@ -199,20 +269,15 @@ namespace {
 // Canonical-decode context: the first-code boundary per length plus the
 // symbols in (length, symbol) order, shared by both decode paths.
 struct Canonical {
-  std::vector<uint32_t> first_code;
-  std::vector<uint32_t> first_index;
-  std::vector<uint32_t> lcount;
+  std::array<uint32_t, kMaxCodeLength + 1> first_code{};
+  std::array<uint32_t, kMaxCodeLength + 1> first_index{};
+  std::array<uint32_t, kMaxCodeLength + 1> lcount{};
   std::vector<uint32_t> sorted;
 };
 
 Canonical build_canonical(const CodeTable& table) {
   Canonical c;
-  c.first_code.assign(kMaxCodeLength + 2, 0);
-  c.first_index.assign(kMaxCodeLength + 2, 0);
-  c.lcount.assign(kMaxCodeLength + 1, 0);
-  for (uint8_t l : table.lengths) {
-    if (l > 0) ++c.lcount[l];
-  }
+  for (const uint8_t l : table.lengths) ++c.lcount[l];
   uint32_t code = 0, index = 0;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
     code = (code + c.lcount[l - 1]) << 1;
@@ -220,12 +285,12 @@ Canonical build_canonical(const CodeTable& table) {
     c.first_index[l] = index;
     index += c.lcount[l];
   }
-  // One counting-sort pass: symbols land in (length, symbol) order.
+  // One counting-sort pass over the used symbols: they are ascending, so
+  // they land in (length, symbol) order.
   c.sorted.resize(index);
-  std::vector<uint32_t> next = c.first_index;
-  for (size_t s = 0; s < table.lengths.size(); ++s) {
-    const uint8_t l = table.lengths[s];
-    if (l > 0) c.sorted[next[l]++] = static_cast<uint32_t>(s);
+  std::array<uint32_t, kMaxCodeLength + 1> next = c.first_index;
+  for (size_t i = 0; i < table.symbols.size(); ++i) {
+    c.sorted[next[table.lengths[i]]++] = table.symbols[i];
   }
   return c;
 }

@@ -12,9 +12,15 @@
 // serialized, keeping the table small — the paper's Figure 4 observes the
 // tree stays below ~4.5% of the quantization array, which this format
 // preserves.
+//
+// A quantization array uses a few hundred to a few thousand of its 65,536
+// bins, so tables are kept sparse: histogram, build, table write, table
+// parse and the decoder's canonical tables all take time in the number of
+// used symbols, not in the alphabet.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -25,6 +31,9 @@ namespace szsec::huffman {
 /// Upper bound on codeword length; frequencies are rescaled if the
 /// unrestricted Huffman tree would exceed it.
 inline constexpr unsigned kMaxCodeLength = 32;
+
+/// Largest alphabet a serialized table may declare.
+inline constexpr uint64_t kMaxAlphabet = uint64_t{1} << 28;
 
 /// Width of the flat probe table used by the fast decoder: each lookup
 /// indexes with the next kDecodeTableBits stream bits and yields every
@@ -41,32 +50,62 @@ inline constexpr unsigned kMaxSymbolsPerProbe = 3;
 /// saves.
 inline constexpr size_t kProbeDecodeMinSymbols = 4096;
 
-/// Canonical code table: per-symbol code lengths plus derived codewords.
+/// Canonical code table over the symbols 0 .. alphabet - 1.  Only the used
+/// symbols are stored: symbols[i] has code length lengths[i] (1 ..
+/// kMaxCodeLength) and codeword codes[i], and symbols is ascending.
 struct CodeTable {
-  /// lengths[s] == 0 means symbol s never occurs.
+  /// Alphabet size: the first varint of the serialized table.
+  uint64_t alphabet = 0;
+  /// The used symbols, ascending.
+  std::vector<uint32_t> symbols;
+  /// Code length of each used symbol.
   std::vector<uint8_t> lengths;
-  /// Canonical codeword bits for each symbol (valid when lengths[s] > 0).
+  /// Canonical codeword of each used symbol, in its low lengths[i] bits.
   std::vector<uint32_t> codes;
 
-  size_t alphabet_size() const { return lengths.size(); }
+  /// Number of symbols in the alphabet, used or not.
+  uint64_t alphabet_size() const { return alphabet; }
 
-  /// Number of symbols with a nonzero code.
-  size_t used_symbols() const;
+  /// Number of symbols with a code.
+  size_t used_symbols() const { return symbols.size(); }
 
-  /// Derives canonical codewords from lengths.  Throws on an invalid
-  /// (Kraft-violating) length set.
-  static CodeTable from_lengths(std::vector<uint8_t> lengths);
+  /// Table for per-symbol lengths over the alphabet 0 .. lengths.size() -
+  /// 1, where lengths[s] == 0 means symbol s never occurs.  Throws
+  /// CorruptError on a length over kMaxCodeLength or a Kraft-violating set.
+  static CodeTable from_lengths(const std::vector<uint8_t>& lengths);
 };
 
-/// Builds optimal (length-limited) code lengths from symbol frequencies.
+/// Symbol counts of a stream, kept sparse.
+struct Histogram {
+  /// Alphabet size: one more than the largest counted symbol.
+  uint64_t alphabet = 0;
+  /// The symbols that occur, ascending.
+  std::vector<uint32_t> symbols;
+  /// How often each of them occurs; every count is nonzero.
+  std::vector<uint64_t> counts;
+};
+
+/// Counts the symbols of `stream` over the alphabet 0 .. max(stream).
+Histogram count_symbols(std::span<const uint32_t> stream);
+
+/// Builds optimal (length-limited) code lengths from symbol counts.  The
+/// counts must sum to less than 2^64.
+CodeTable build_code_table(const Histogram& histogram);
+
+/// The same, from dense frequencies: frequencies[s] is the count of
+/// symbol s over the alphabet 0 .. frequencies.size() - 1.
 CodeTable build_code_table(std::span<const uint64_t> frequencies);
 
 /// Serializes a code table to the compact blob Encr-Huffman encrypts.
-/// Format: varint alphabet size, varint run-length-encoded lengths.
+/// Format: varint alphabet size, then (u8 length, varint run) pairs
+/// covering the alphabet; docs/FORMATS.md lists the decoder's rules.
 Bytes serialize_table(const CodeTable& table);
 
-/// Inverse of serialize_table.  Throws CorruptError on malformed input.
-CodeTable deserialize_table(BytesView blob);
+/// Inverse of serialize_table for a table that codes `symbol_count`
+/// symbols.  Throws CorruptError on malformed input, and on a table with
+/// more used symbols than `symbol_count` (which the encoder never writes)
+/// before storing them.
+CodeTable deserialize_table(BytesView blob, uint64_t symbol_count);
 
 /// Encodes `symbols` with `table`; returns MSB-first packed bits.
 /// Every symbol must have a nonzero code length.

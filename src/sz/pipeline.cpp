@@ -413,11 +413,8 @@ EncodedQuant huffman_encode_codes(const QuantizedField& q,
   EncodedQuant e;
   e.symbol_count = q.codes.size();
   if (q.codes.empty()) return e;
-  uint32_t max_code = 0;
-  for (uint32_t c : q.codes) max_code = std::max(max_code, c);
-  std::vector<uint64_t> freq(static_cast<size_t>(max_code) + 1, 0);
-  for (uint32_t c : q.codes) ++freq[c];
-  const huffman::CodeTable table = huffman::build_code_table(freq);
+  const huffman::CodeTable table =
+      huffman::build_code_table(huffman::count_symbols(q.codes));
   e.tree = huffman::serialize_table(table);
   e.codewords = huffman::encode(table, q.codes);
   return e;
@@ -428,7 +425,10 @@ std::vector<uint32_t> huffman_decode_codes(BytesView tree, BytesView codewords,
                                            StageTimes* times) {
   ScopedStageTimer timer(times, "huffman");
   if (count == 0) return {};
-  const huffman::CodeTable table = huffman::deserialize_table(tree);
+  // Every symbol takes at least one bit, so the stream holds at most
+  // min(count, its bit count) of them, and a table using more is forged.
+  const huffman::CodeTable table = huffman::deserialize_table(
+      tree, std::min<uint64_t>(count, uint64_t{codewords.size()} * 8));
   return huffman::decode(table, codewords, static_cast<size_t>(count));
 }
 

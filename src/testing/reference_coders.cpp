@@ -8,7 +8,167 @@
 
 namespace szsec::testing::reference {
 
-Bytes huffman_encode(const huffman::CodeTable& table,
+namespace {
+
+using huffman::kMaxCodeLength;
+
+// Computes unrestricted Huffman code lengths for the nonzero frequencies
+// via the classic two-queue/heap merge.  Returns max length encountered.
+unsigned huffman_lengths(std::span<const uint64_t> freq,
+                         std::vector<uint8_t>& lengths) {
+  struct Node {
+    uint64_t weight;
+    uint32_t id;  // tie-break for determinism
+    int32_t left = -1, right = -1;
+    uint32_t symbol = 0;  // valid for leaves
+    bool leaf = false;
+  };
+  std::vector<Node> nodes;
+  nodes.reserve(freq.size() * 2);
+  for (size_t s = 0; s < freq.size(); ++s) {
+    if (freq[s] > 0) {
+      nodes.push_back({freq[s], static_cast<uint32_t>(nodes.size()), -1, -1,
+                       static_cast<uint32_t>(s), true});
+    }
+  }
+  lengths.assign(freq.size(), 0);
+  if (nodes.empty()) return 0;
+  if (nodes.size() == 1) {
+    // A degenerate alphabet still needs one bit per symbol so the decoder
+    // can count symbols.
+    lengths[nodes[0].symbol] = 1;
+    return 1;
+  }
+
+  auto cmp = [&nodes](int32_t a, int32_t b) {
+    if (nodes[a].weight != nodes[b].weight) {
+      return nodes[a].weight > nodes[b].weight;
+    }
+    return nodes[a].id > nodes[b].id;
+  };
+  std::priority_queue<int32_t, std::vector<int32_t>, decltype(cmp)> heap(cmp);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    heap.push(static_cast<int32_t>(i));
+  }
+  while (heap.size() > 1) {
+    const int32_t a = heap.top();
+    heap.pop();
+    const int32_t b = heap.top();
+    heap.pop();
+    Node parent;
+    parent.weight = nodes[a].weight + nodes[b].weight;
+    parent.id = static_cast<uint32_t>(nodes.size());
+    parent.left = a;
+    parent.right = b;
+    nodes.push_back(parent);
+    heap.push(static_cast<int32_t>(nodes.size() - 1));
+  }
+  const int32_t root = heap.top();
+
+  // Iterative depth assignment.
+  unsigned max_len = 0;
+  std::vector<std::pair<int32_t, unsigned>> stack{{root, 0}};
+  while (!stack.empty()) {
+    auto [idx, depth] = stack.back();
+    stack.pop_back();
+    const Node& n = nodes[idx];
+    if (n.leaf) {
+      SZSEC_REQUIRE(depth <= 255, "code length overflow");
+      lengths[n.symbol] = static_cast<uint8_t>(depth);
+      max_len = std::max(max_len, depth);
+    } else {
+      stack.push_back({n.left, depth + 1});
+      stack.push_back({n.right, depth + 1});
+    }
+  }
+  return max_len;
+}
+
+}  // namespace
+
+HuffmanTable huffman_build_table(std::span<const uint64_t> frequencies) {
+  std::vector<uint8_t> lengths;
+  std::vector<uint64_t> scaled(frequencies.begin(), frequencies.end());
+  // Rescale until the tree respects kMaxCodeLength.  Halving (with a floor
+  // of 1 to keep symbols alive) provably terminates: eventually all
+  // nonzero frequencies are 1 and the tree is balanced.
+  while (huffman_lengths(scaled, lengths) > kMaxCodeLength) {
+    for (auto& f : scaled) {
+      if (f > 0) f = (f + 1) / 2;
+    }
+  }
+  return HuffmanTable::from_lengths(std::move(lengths));
+}
+
+HuffmanTable HuffmanTable::from_lengths(std::vector<uint8_t> lengths) {
+  HuffmanTable t;
+  t.lengths = std::move(lengths);
+  t.codes.assign(t.lengths.size(), 0);
+
+  // Kraft check + canonical assignment in (length, symbol) order.
+  std::vector<uint32_t> count(kMaxCodeLength + 1, 0);
+  for (uint8_t l : t.lengths) {
+    SZSEC_CHECK_FORMAT(l <= kMaxCodeLength, "code length exceeds limit");
+    if (l > 0) ++count[l];
+  }
+  uint64_t kraft = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    kraft += static_cast<uint64_t>(count[l]) << (kMaxCodeLength - l);
+  }
+  const uint64_t kraft_limit = uint64_t{1} << kMaxCodeLength;
+  SZSEC_CHECK_FORMAT(kraft <= kraft_limit, "Kraft inequality violated");
+
+  std::vector<uint32_t> next_code(kMaxCodeLength + 2, 0);
+  uint32_t code = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    code = (code + count[l - 1]) << 1;
+    next_code[l] = code;
+  }
+  for (size_t s = 0; s < t.lengths.size(); ++s) {
+    const uint8_t l = t.lengths[s];
+    if (l > 0) t.codes[s] = next_code[l]++;
+  }
+  return t;
+}
+
+Bytes huffman_serialize_table(const HuffmanTable& table) {
+  ByteWriter w;
+  w.put_varint(table.lengths.size());
+  size_t i = 0;
+  while (i < table.lengths.size()) {
+    const uint8_t l = table.lengths[i];
+    size_t run = 1;
+    while (i + run < table.lengths.size() && table.lengths[i + run] == l) {
+      ++run;
+    }
+    w.put_u8(l);
+    w.put_varint(run);
+    i += run;
+  }
+  return w.take();
+}
+
+HuffmanTable huffman_deserialize_table(BytesView blob) {
+  ByteReader r(blob);
+  const uint64_t alphabet = r.get_varint();
+  SZSEC_CHECK_FORMAT(alphabet <= (uint64_t{1} << 28),
+                     "implausible alphabet size");
+  std::vector<uint8_t> lengths;
+  lengths.reserve(static_cast<size_t>(alphabet));
+  while (lengths.size() < alphabet) {
+    const uint8_t l = r.get_u8();
+    const uint64_t run = r.get_varint();
+    // Subtractive, so a run near 2^64 cannot wrap the sum back under the
+    // alphabet.
+    SZSEC_CHECK_FORMAT(run > 0 && run <= alphabet - lengths.size(),
+                       "bad run length in code table");
+    lengths.insert(lengths.end(), static_cast<size_t>(run), l);
+  }
+  SZSEC_CHECK_FORMAT(r.done(), "trailing bytes after code table");
+  return HuffmanTable::from_lengths(std::move(lengths));
+}
+
+Bytes huffman_encode(const HuffmanTable& table,
                      std::span<const uint32_t> symbols) {
   BitWriter w;
   for (uint32_t s : symbols) {
@@ -17,6 +177,51 @@ Bytes huffman_encode(const huffman::CodeTable& table,
     w.put_bits(table.codes[s], table.lengths[s]);
   }
   return w.finish();
+}
+
+std::vector<uint32_t> huffman_decode(const HuffmanTable& table,
+                                     BytesView bits, size_t count) {
+  // First-code boundary per length, plus the symbols in (length, symbol)
+  // order.
+  std::vector<uint32_t> first_code(kMaxCodeLength + 2, 0);
+  std::vector<uint32_t> first_index(kMaxCodeLength + 2, 0);
+  std::vector<uint32_t> lcount(kMaxCodeLength + 1, 0);
+  for (uint8_t l : table.lengths) {
+    if (l > 0) ++lcount[l];
+  }
+  uint32_t code = 0, index = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    code = (code + lcount[l - 1]) << 1;
+    first_code[l] = code;
+    first_index[l] = index;
+    index += lcount[l];
+  }
+  std::vector<uint32_t> sorted(index);
+  std::vector<uint32_t> next = first_index;
+  for (size_t s = 0; s < table.lengths.size(); ++s) {
+    const uint8_t l = table.lengths[s];
+    if (l > 0) sorted[next[l]++] = static_cast<uint32_t>(s);
+  }
+  // Every symbol takes at least one bit.
+  SZSEC_CHECK_FORMAT(count <= static_cast<uint64_t>(bits.size()) * 8,
+                     "symbol count exceeds bitstream capacity");
+  BitReader r(bits);
+  std::vector<uint32_t> out;
+  out.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    code = 0;
+    unsigned len = 0;
+    while (true) {
+      SZSEC_CHECK_FORMAT(len < kMaxCodeLength, "dead branch in Huffman code");
+      code = (code << 1) | r.get_bit();
+      ++len;
+      if (lcount[len] != 0 && code - first_code[len] < lcount[len]) {
+        out.push_back(sorted[first_index[len] + (code - first_code[len])]);
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 namespace {

@@ -5,16 +5,20 @@
 // before its word-at-a-time rewrites: the MSB-first and LSB-first bit
 // writers and readers, the Huffman symbol packer, zlite's LZ77 matcher and
 // DEFLATE block emitter, zlite's canonical-walk inflater, and the bytewise
-// table CRC-32.  They are slow on purpose, simple enough to check by
-// reading, and frozen: the production coders must match them byte for
-// byte, and the decoders must also throw the same exception type with the
-// same message at the same call (tests/entropy_identity_test.cpp,
-// testing::replay_zlite).  bench_kernels times the production coders
+// table CRC-32.  With them is the Huffman table set-up from before it went
+// sparse: the heap builder, the dense table writer and parser, and a
+// per-bit canonical decoder over the dense table.  They are slow on
+// purpose, simple enough to check by reading, and frozen: the production
+// coders must match them byte for byte, and the decoders must also throw
+// the same exception type with the same message at the same call
+// (tests/entropy_identity_test.cpp, testing::replay_zlite,
+// testing::replay_huffman).  bench_kernels times the production coders
 // against them.  Nothing in the library links them.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/bytestream.h"
 #include "common/error.h"
@@ -171,9 +175,43 @@ class LsbBitReader {
   size_t bit_pos_ = 0;
 };
 
+/// The dense canonical code table the Huffman coder used before its
+/// sparse rewrite: a length and a codeword for every symbol of the
+/// alphabet.
+struct HuffmanTable {
+  /// lengths[s] == 0 means symbol s never occurs.
+  std::vector<uint8_t> lengths;
+  /// Canonical codeword of each symbol (valid when lengths[s] > 0).
+  std::vector<uint32_t> codes;
+
+  /// huffman::CodeTable::from_lengths(): codewords in (length, symbol)
+  /// order; throws CorruptError on a length over huffman::kMaxCodeLength
+  /// or a Kraft-violating set.
+  static HuffmanTable from_lengths(std::vector<uint8_t> lengths);
+};
+
+/// huffman::build_code_table() through a binary heap over a node pool for
+/// the whole alphabet, rebuilt from scratch on every frequency-halving
+/// round.
+HuffmanTable huffman_build_table(std::span<const uint64_t> frequencies);
+
+/// huffman::serialize_table() from the dense length array.
+Bytes huffman_serialize_table(const HuffmanTable& table);
+
+/// huffman::deserialize_table() into the dense length array, with every
+/// check but the used-symbol bound.  Its run check is subtractive: the
+/// parser it preserves added the run to the stored length, so a run near
+/// 2^64 wrapped past the check and std::vector threw std::length_error.
+HuffmanTable huffman_deserialize_table(BytesView blob);
+
 /// huffman::encode() through the per-bit writer.
-Bytes huffman_encode(const huffman::CodeTable& table,
+Bytes huffman_encode(const HuffmanTable& table,
                      std::span<const uint32_t> symbols);
+
+/// huffman::decode() as a canonical walk one bit at a time through the
+/// per-bit reader.
+std::vector<uint32_t> huffman_decode(const HuffmanTable& table,
+                                     BytesView bits, size_t count);
 
 /// zlite::deflate() with the scan-based matcher and block emitter.
 Bytes deflate(BytesView data, zlite::Level level = zlite::Level::kDefault);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <typeinfo>
+#include <vector>
 
 #include "archive/chunked.h"
 #include "archive/seekable.h"
@@ -47,42 +48,73 @@ void replay_decode(BytesView input) {
   }
 }
 
+namespace {
+
+// A decoder's result: its output, or its exception's type and what().
+template <typename T>
+struct Outcome {
+  std::optional<T> value;
+  std::string error;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename T, typename Fn>
+Outcome<T> outcome_of(Fn&& decode) {
+  try {
+    return {decode(), ""};
+  } catch (const Error& e) {
+    return {std::nullopt, std::string(typeid(e).name()) + ": " + e.what()};
+  }
+}
+
+}  // namespace
+
 void replay_huffman(BytesView input) {
   if (input.size() < 4) return;
   const size_t count = input[0] | (size_t{input[1]} << 8);
   size_t tree_len = input[2] | (size_t{input[3]} << 8);
   const BytesView rest = input.subspan(4);
   if (tree_len > rest.size()) tree_len = rest.size();
+  const BytesView tree = rest.subspan(0, tree_len);
+  const BytesView bits = rest.subspan(tree_len);
+  using Symbols = std::vector<uint32_t>;
+  const auto got = outcome_of<Symbols>([&] {
+    return huffman::decode(huffman::deserialize_table(tree, count), bits,
+                           count);
+  });
+  // The reference lacks the used-symbol bound, so it has nothing to say
+  // where the bound fired.  Nor is it asked about alphabets over 2^20:
+  // its dense arrays cost memory in the alphabet on every input.
+  if (got.error.find("more symbols than the stream holds") !=
+      std::string::npos) {
+    return;
+  }
   try {
-    const huffman::CodeTable table =
-        huffman::deserialize_table(rest.subspan(0, tree_len));
-    (void)huffman::decode(table, rest.subspan(tree_len), count);
+    ByteReader r(tree);
+    if (r.get_varint() > (uint64_t{1} << 20)) return;
   } catch (const Error&) {
   }
+  const auto want = outcome_of<Symbols>([&] {
+    return reference::huffman_decode(
+        reference::huffman_deserialize_table(tree), bits, count);
+  });
+  if (got != want) std::abort();
 }
 
 void replay_zlite(BytesView input) {
   // The library and the reference inflater must agree: the same bytes, or
   // the same exception type and message.  Abort (so the fuzzer records
   // it) if not.
-  std::optional<Bytes> plain, want;
-  std::string error, want_error;
-  try {
-    plain = zlite::inflate(input);
-  } catch (const Error& e) {
-    error = std::string(typeid(e).name()) + ": " + e.what();
+  const auto plain = outcome_of<Bytes>([&] { return zlite::inflate(input); });
+  if (plain != outcome_of<Bytes>([&] { return reference::inflate(input); })) {
+    std::abort();
   }
-  try {
-    want = reference::inflate(input);
-  } catch (const Error& e) {
-    want_error = std::string(typeid(e).name()) + ": " + e.what();
-  }
-  if (plain != want || error != want_error) std::abort();
-  if (!plain) return;
+  if (!plain.value) return;
   // Whatever inflates must survive our own deflate/inflate round trip
   // bit-identically.
-  const Bytes re = zlite::deflate(BytesView(*plain));
-  if (zlite::inflate(BytesView(re)) != *plain) std::abort();
+  const Bytes re = zlite::deflate(BytesView(*plain.value));
+  if (zlite::inflate(BytesView(re)) != *plain.value) std::abort();
 }
 
 void replay_chunked(BytesView input) {

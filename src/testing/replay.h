@@ -26,7 +26,12 @@ Bytes replay_key(size_t n);
 void replay_decode(BytesView input);
 
 /// Framed input ([count u16][tree_len u16][tree][codewords]) into the
-/// canonical-Huffman table deserializer and symbol decoder.
+/// canonical-Huffman table deserializer and symbol decoder, differentially
+/// against the reference parser and decoder
+/// (src/testing/reference_coders.h): both must return the same symbols or
+/// throw the same exception type and message.  The reference is skipped
+/// where the library's used-symbol bound fired (the one check it lacks)
+/// and for alphabets over 2^20.
 void replay_huffman(BytesView input);
 
 /// Arbitrary bytes into the DEFLATE decoder, differentially against the

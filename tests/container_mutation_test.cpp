@@ -13,7 +13,9 @@
 //    consistent with the injected damage.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "archive/chunked.h"
@@ -175,6 +177,47 @@ TEST(DecoderHardening, HuffmanSymbolCountBombRejected) {
                Error);
   // The honest count still decodes.
   EXPECT_EQ(huffman::decode(table, BytesView(bits), symbols.size()), symbols);
+}
+
+// Peak resident set size of this process (VmHWM) in KiB; 0 where
+// /proc/self/status is unavailable.
+uint64_t peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6));
+  }
+  return 0;
+}
+
+// huffman::deserialize_table used to size its arrays from the table's
+// declared alphabet: an 11-byte table of 2^28 symbols in one run drove
+// GiB-scale allocations (about 1.3 GB for a run of length 0, 2.4 GB for a
+// complete code of length 28).  Zero runs now cost nothing, and a table
+// with more used symbols than the stream holds is rejected before they
+// are stored.
+TEST(DecoderHardening, HuffmanTableAlphabetBombRejected) {
+  const std::vector<uint64_t> freq = {3, 1, 1, 1};
+  const std::vector<uint32_t> symbols = {0, 1, 2, 3, 0, 0};
+  const Bytes bits =
+      huffman::encode(huffman::build_code_table(freq), symbols);
+  const uint64_t peak_before = peak_rss_kib();
+  for (const uint8_t length : {0, 28}) {
+    ByteWriter w;
+    w.put_varint(huffman::kMaxAlphabet);
+    w.put_u8(length);
+    w.put_varint(huffman::kMaxAlphabet);
+    const Bytes table = w.take();
+    ASSERT_EQ(table.size(), 11u);
+    EXPECT_THROW(
+        (void)huffman::decode(
+            huffman::deserialize_table(BytesView(table), symbols.size()),
+            BytesView(bits), symbols.size()),
+        CorruptError)
+        << "run of length " << int{length};
+  }
+  EXPECT_LT(peak_rss_kib() - peak_before, uint64_t{8} * 1024)
+      << "VmHWM grew by more than 8 MiB";
 }
 
 // Rank-4 extents that each pass the per-axis cap can multiply past

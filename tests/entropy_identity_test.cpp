@@ -16,10 +16,19 @@
 // Their inputs are zlite and zlib streams, every truncation of small
 // streams, seeded bit flips, forged headers, and output caps at and
 // around the true size.
+//
+// Huffman tables: the sparse builder must give the heap builder's code
+// lengths, codewords, table blob and encoded bytes over random, skewed,
+// degenerate, wide and Fibonacci-weighted alphabets (the last force
+// frequency-halving rounds).  The sparse parser plus decoder must give
+// the dense parser plus decoder's symbols or error on truncated,
+// bit-flipped and forged tables, except where the library's used-symbol
+// bound fires, which the reference lacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <string>
 #include <typeinfo>
@@ -102,7 +111,7 @@ Bytes codeword_bytes(size_t n, uint64_t seed) {
   std::vector<uint64_t> freq(2 * kRadius, 0);
   for (uint32_t s = kRadius - kSpread; s <= kRadius + kSpread; ++s) freq[s] = 1;
   for (int i = 0; i < 65536; ++i) ++freq[draw(false)];
-  const auto table = huffman::build_code_table(freq);
+  const auto table = ref::huffman_build_table(freq);
   BitWriter w;
   while (w.bit_count() < 8 * n) {
     const bool zero_bin = rng() % 8 == 0;
@@ -189,6 +198,79 @@ TEST(EntropyIdentity, DeflateStored) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Huffman table set-up: the sparse library against the dense reference.
+
+// The library's table spread over the reference's dense arrays.
+ref::HuffmanTable dense_table(const huffman::CodeTable& t) {
+  ref::HuffmanTable d;
+  d.lengths.assign(t.alphabet_size(), 0);
+  d.codes.assign(t.alphabet_size(), 0);
+  for (size_t i = 0; i < t.used_symbols(); ++i) {
+    d.lengths[t.symbols[i]] = t.lengths[i];
+    d.codes[t.symbols[i]] = t.codes[i];
+  }
+  return d;
+}
+
+// Both builders on `freq`: equal lengths, codewords and table blob, equal
+// encodings of a stream of the used symbols, and the library's parser
+// gives its table back.
+void expect_tables_identical(const std::vector<uint64_t>& freq,
+                             uint64_t seed) {
+  const huffman::CodeTable got = huffman::build_code_table(freq);
+  const ref::HuffmanTable want = ref::huffman_build_table(freq);
+  const ref::HuffmanTable spread = dense_table(got);
+  ASSERT_EQ(spread.lengths, want.lengths);
+  ASSERT_EQ(spread.codes, want.codes);
+  const Bytes blob = huffman::serialize_table(got);
+  ASSERT_EQ(blob, ref::huffman_serialize_table(want));
+
+  const huffman::CodeTable parsed =
+      huffman::deserialize_table(BytesView(blob), got.used_symbols());
+  EXPECT_EQ(parsed.alphabet, got.alphabet);
+  EXPECT_EQ(parsed.symbols, got.symbols);
+  EXPECT_EQ(parsed.lengths, got.lengths);
+  EXPECT_EQ(parsed.codes, got.codes);
+
+  if (got.used_symbols() == 0) return;
+  std::mt19937_64 rng(seed);
+  std::vector<uint32_t> symbols(got.used_symbols() + rng() % 5000);
+  // Every used symbol at least once, so the stream uses the symbols
+  // `freq` uses.
+  for (size_t i = 0; i < symbols.size(); ++i) {
+    symbols[i] = i < got.used_symbols()
+                     ? got.symbols[i]
+                     : got.symbols[rng() % got.used_symbols()];
+  }
+  std::shuffle(symbols.begin(), symbols.end(), rng);
+  const Bytes encoded = huffman::encode(got, symbols);
+  ASSERT_EQ(encoded, ref::huffman_encode(want, symbols));
+  EXPECT_EQ((huffman::encoded_bits(got, symbols) + 7) / 8, encoded.size());
+
+  // The stream's sparse histogram builds the table its dense counts build.
+  std::vector<uint64_t> counts(size_t{got.symbols.back()} + 1, 0);
+  for (const uint32_t s : symbols) ++counts[s];
+  const huffman::CodeTable from_stream =
+      huffman::build_code_table(huffman::count_symbols(symbols));
+  const ref::HuffmanTable from_counts = ref::huffman_build_table(counts);
+  EXPECT_EQ(dense_table(from_stream).lengths, from_counts.lengths);
+}
+
+// Weights F(1), F(2), ... on `n` symbols spread `stride` apart: the
+// unrestricted tree is n - 1 deep, so past 33 symbols the build halves.
+std::vector<uint64_t> fibonacci_freq(size_t n, size_t stride) {
+  std::vector<uint64_t> freq(n * stride, 0);
+  uint64_t a = 1, b = 1;
+  for (size_t i = 0; i < n; ++i) {
+    freq[i * stride] = a;
+    const uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  return freq;
+}
+
 // Random alphabets with random frequency shapes, up to skews that drive
 // codewords to the 32-bit length limit.
 TEST(EntropyIdentity, HuffmanEncodeRandomAlphabets) {
@@ -208,16 +290,104 @@ TEST(EntropyIdentity, HuffmanEncodeRandomAlphabets) {
       }
     }
     freq[rng() % alphabet] += 1;  // at least one used symbol
-    const auto table = huffman::build_code_table(freq);
-    std::vector<uint32_t> used;
-    for (size_t s = 0; s < alphabet; ++s) {
-      if (table.lengths[s] > 0) used.push_back(static_cast<uint32_t>(s));
-    }
-    std::vector<uint32_t> symbols(rng() % 20000);
-    for (auto& s : symbols) s = used[rng() % used.size()];
     SCOPED_TRACE("trial " + std::to_string(trial));
-    EXPECT_EQ(huffman::encode(table, symbols),
-              ref::huffman_encode(table, symbols));
+    expect_tables_identical(freq, rng());
+  }
+}
+
+// Quantization-code shapes: a tight or wide spread around the central bin
+// of 65,536, plus the unpredictable bin 0, and a few hot symbols over a
+// flat tail.
+TEST(EntropyIdentity, HuffmanTablesSkewed) {
+  std::mt19937_64 rng(0x5CE7);
+  for (const double sigma : {0.3, 2.0, 40.0, 900.0}) {
+    std::normal_distribution<double> gauss(0.0, sigma);
+    std::vector<uint64_t> freq(65536, 0);
+    for (int i = 0; i < 262144; ++i) {
+      const auto d = static_cast<int64_t>(std::lround(gauss(rng)));
+      const int64_t bin = 32768 + std::clamp<int64_t>(d, -32767, 32767);
+      ++freq[static_cast<size_t>(bin)];
+    }
+    freq[0] += 1 + rng() % 100;
+    SCOPED_TRACE("sigma " + std::to_string(sigma));
+    expect_tables_identical(freq, rng());
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint64_t> freq(1 + rng() % 5000, 1);
+    for (int hot = 0; hot < 1 + trial % 4; ++hot) {
+      freq[rng() % freq.size()] = uint64_t{1} << (10 + rng() % 40);
+    }
+    SCOPED_TRACE("hot trial " + std::to_string(trial));
+    expect_tables_identical(freq, rng());
+  }
+}
+
+// No, one and two used symbols, alone and inside wider alphabets.
+TEST(EntropyIdentity, HuffmanTablesDegenerate) {
+  const std::vector<std::vector<uint64_t>> cases = {
+      {},
+      {0},
+      std::vector<uint64_t>(16, 0),
+      {7},
+      {0, 0, 0, 1},
+      {5, 0, 0, 0},
+      {1, 1},
+      {1, 1000000},
+      {0, 3, 0, 0, 0, 0, 0, 9},
+      {uint64_t{1} << 62, 1},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_tables_identical(cases[i], i);
+  }
+  for (const size_t alphabet : {size_t{65536}, size_t{1} << 20}) {
+    for (const size_t used : {1, 2}) {
+      std::vector<uint64_t> freq(alphabet, 0);
+      freq[alphabet / 2] = 10;
+      if (used == 2) freq[alphabet - 1] = 3;
+      SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " used " +
+                   std::to_string(used));
+      expect_tables_identical(freq, alphabet + used);
+    }
+  }
+}
+
+// The whole 65,536-bin alphabet in use, and 2^20-symbol alphabets with
+// scattered and clustered used symbols.
+TEST(EntropyIdentity, HuffmanTablesWide) {
+  std::mt19937_64 rng(0x1DE);
+  {
+    std::vector<uint64_t> freq(65536);
+    for (auto& f : freq) f = 1 + rng() % 50;
+    expect_tables_identical(freq, rng());
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<uint64_t> freq(size_t{1} << 20, 0);
+    for (int i = 0; i < 20000; ++i) {
+      const size_t at = trial == 0 ? rng() % freq.size()
+                                   : (freq.size() / 2) + rng() % 6000;
+      freq[at] += 1 + rng() % (trial == 2 ? 1000000 : 100);
+    }
+    SCOPED_TRACE("2^20 trial " + std::to_string(trial));
+    expect_tables_identical(freq, rng());
+  }
+}
+
+// Fibonacci weights past the 32-bit limit force halving rounds, alone and
+// mixed with random weights on the other symbols.
+TEST(EntropyIdentity, HuffmanTablesFibonacci) {
+  std::mt19937_64 rng(0xF1B);
+  for (const size_t n : {2, 20, 33, 34, 35, 50, 70, 90}) {
+    for (const size_t stride : {1, 3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " stride " +
+                   std::to_string(stride));
+      expect_tables_identical(fibonacci_freq(n, stride), rng());
+      std::vector<uint64_t> mixed = fibonacci_freq(n, stride);
+      for (auto& f : mixed) {
+        if (f == 0 && rng() % 2 == 0) f = 1 + rng() % 5;
+      }
+      expect_tables_identical(mixed, rng());
+    }
   }
 }
 
@@ -499,6 +669,242 @@ TEST(EntropyIdentity, InflateForgedStreams) {
     expect_inflate_identical(BytesView(forged), 0, 0);
     expect_inflate_identical(BytesView(forged), 0, 1 + rng() % 4096);
   }
+}
+
+// Huffman parse plus decode: the sparse parser and the probe-table or
+// walking decoder against the dense parser and per-bit walk.
+
+Bytes symbol_bytes(const std::vector<uint32_t>& symbols) {
+  Bytes b(symbols.size() * sizeof(uint32_t));
+  if (!b.empty()) std::memcpy(b.data(), symbols.data(), b.size());
+  return b;
+}
+
+// How many inputs the reference judged, and how many the library's
+// used-symbol bound rejected first.
+struct ParseTally {
+  size_t compared = 0;
+  size_t bounded = 0;
+};
+
+// Parses `blob` and decodes `count` symbols from `bits` with both: the
+// same symbols, or the same exception type and message.  Where the
+// library's used-symbol bound fired, the reference must have more used
+// symbols than `count`, or fail on a later run.
+void expect_parse_decode_identical(BytesView blob, BytesView bits,
+                                   size_t count, ParseTally& tally) {
+  const Outcome got = outcome_of([&] {
+    return symbol_bytes(huffman::decode(
+        huffman::deserialize_table(blob, count), bits, count));
+  });
+  if (got.error.find("more symbols than the stream holds") !=
+      std::string::npos) {
+    ++tally.bounded;
+    try {
+      const ref::HuffmanTable t = ref::huffman_deserialize_table(blob);
+      EXPECT_GT(static_cast<size_t>(std::count_if(
+                    t.lengths.begin(), t.lengths.end(),
+                    [](uint8_t l) { return l != 0; })),
+                count);
+    } catch (const CorruptError&) {
+    }
+    return;
+  }
+  ++tally.compared;
+  const Outcome want = outcome_of([&] {
+    return symbol_bytes(ref::huffman_decode(
+        ref::huffman_deserialize_table(blob), bits, count));
+  });
+  ASSERT_EQ(got, want) << "table of " << blob.size() << " bytes, stream of "
+                       << bits.size() << " bytes, count " << count;
+}
+
+// A table blob from (length, run) pairs, as the writer lays it out.
+Bytes table_blob(uint64_t alphabet,
+                 const std::vector<std::pair<unsigned, uint64_t>>& runs) {
+  ByteWriter w;
+  w.put_varint(alphabet);
+  for (const auto& [length, run] : runs) {
+    w.put_u8(static_cast<uint8_t>(length));
+    w.put_varint(run);
+  }
+  return w.take();
+}
+
+struct HuffmanCase {
+  Bytes blob;
+  Bytes bits;
+  std::vector<uint32_t> symbols;
+};
+
+// Small tables with their streams: 7 symbols, one, two, 20 sparse ones in
+// 65,536, Fibonacci-weighted lengths up to 32, and a quantization-like
+// stream long enough for the probe-table decoder.
+std::vector<HuffmanCase> huffman_cases() {
+  std::mt19937_64 rng(0x7AB1E);
+  std::vector<std::vector<uint32_t>> streams(6);
+  for (uint32_t i = 0; i < 96; ++i) streams[0].push_back((i * i + i / 3) % 7);
+  streams[1].assign(40, 5);
+  for (int i = 0; i < 50; ++i) streams[2].push_back(rng() % 4 == 0 ? 3 : 8);
+  for (int i = 0; i < 300; ++i) {
+    streams[3].push_back(32768 + 3 * static_cast<uint32_t>(rng() % 20));
+  }
+  for (uint32_t s = 0; s < 40; ++s) streams[4].insert(streams[4].end(), 3, s);
+  std::normal_distribution<double> gauss(0.0, 6.0);
+  for (size_t i = 0; i < huffman::kProbeDecodeMinSymbols + 900; ++i) {
+    streams[5].push_back(
+        32768 + static_cast<uint32_t>(std::lround(gauss(rng)) + 100));
+  }
+  std::vector<HuffmanCase> cases;
+  for (size_t k = 0; k < streams.size(); ++k) {
+    std::vector<uint32_t>& symbols = streams[k];
+    std::shuffle(symbols.begin(), symbols.end(), rng);
+    const huffman::CodeTable t =
+        k == 4 ? huffman::build_code_table(fibonacci_freq(40, 1))
+               : huffman::build_code_table(huffman::count_symbols(symbols));
+    cases.push_back(
+        {huffman::serialize_table(t), huffman::encode(t, symbols), symbols});
+  }
+  return cases;
+}
+
+// Every prefix of each table, and every prefix of each stream (every
+// seventh of the long one), under the true count and one more.
+TEST(EntropyIdentity, HuffmanParseEveryTruncation) {
+  ParseTally tally;
+  for (const HuffmanCase& c : huffman_cases()) {
+    const size_t n = c.symbols.size();
+    for (size_t cut = 0; cut <= c.blob.size(); ++cut) {
+      // Its own allocation, so a read past the cut trips the sanitizer.
+      const Bytes prefix(c.blob.begin(),
+                         c.blob.begin() + static_cast<std::ptrdiff_t>(cut));
+      SCOPED_TRACE("table cut " + std::to_string(cut));
+      expect_parse_decode_identical(BytesView(prefix), BytesView(c.bits), n,
+                                    tally);
+    }
+    const size_t step = c.bits.size() > 512 ? 7 : 1;
+    for (size_t cut = 0; cut <= c.bits.size(); ++cut) {
+      if (cut % step != 0 && cut + 16 < c.bits.size()) continue;
+      const Bytes prefix(c.bits.begin(),
+                         c.bits.begin() + static_cast<std::ptrdiff_t>(cut));
+      SCOPED_TRACE("stream cut " + std::to_string(cut));
+      expect_parse_decode_identical(BytesView(c.blob), BytesView(prefix), n,
+                                    tally);
+      expect_parse_decode_identical(BytesView(c.blob), BytesView(prefix),
+                                    n + 1, tally);
+    }
+  }
+  EXPECT_GT(tally.compared, 1000u);
+}
+
+// Seeded one- to three-bit flips, mostly in the table: changed lengths,
+// runs and alphabets, and flipped codewords.
+TEST(EntropyIdentity, HuffmanParseSeededBitFlips) {
+  std::mt19937_64 rng(0xB17F1);
+  ParseTally tally;
+  for (const HuffmanCase& c : huffman_cases()) {
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes blob = c.blob;
+      Bytes bits = c.bits;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int f = 0; f < flips; ++f) {
+        Bytes& target = rng() % 4 != 0 || bits.empty() ? blob : bits;
+        const size_t at = rng() % target.size();
+        target[at] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      }
+      const size_t count = rng() % 4 == 0 ? rng() % (c.symbols.size() + 2)
+                                          : c.symbols.size();
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_parse_decode_identical(BytesView(blob), BytesView(bits), count,
+                                    tally);
+    }
+  }
+  EXPECT_GT(tally.compared, 1000u);
+  EXPECT_GT(tally.bounded, 0u);
+}
+
+// Hand-forged tables for each parser rule, then random (length, run)
+// sequences over small alphabets: over-long lengths, Kraft violations,
+// incomplete codes, zero and overlong runs, trailing bytes and oversized
+// alphabets.
+TEST(EntropyIdentity, HuffmanParseForgedTables) {
+  const uint64_t kMax = huffman::kMaxAlphabet;
+  const uint64_t kWrap = ~uint64_t{0};
+  std::vector<Bytes> forged = {
+      {},
+      table_blob(0, {}),
+      table_blob(4, {{33, 1}, {1, 1}, {2, 2}}),
+      table_blob(4, {{1, 1}, {255, 3}}),
+      table_blob(2, {{40, 2}}),
+      table_blob(3, {{1, 3}}),
+      table_blob(5, {{2, 5}}),
+      table_blob(3, {{2, 3}}),
+      table_blob(70, {{0, 3}, {7, 64}, {0, 3}}),
+      table_blob(4, {{1, 0}}),
+      table_blob(4, {{0, 0}}),
+      table_blob(4, {{1, 5}}),
+      table_blob(4, {{1, 2}, {2, 3}}),
+      table_blob(10, {{1, 1}, {1, kWrap}}),
+      table_blob(10, {{0, 1}, {0, kWrap}}),
+      table_blob(kMax + 1, {{0, kMax + 1}}),
+      table_blob(uint64_t{1} << 40, {{0, 1}}),
+      table_blob(kWrap, {}),
+      table_blob(1 << 20, {{0, (1 << 20) - 2}, {1, 2}}),
+  };
+  Bytes trailing = table_blob(2, {{1, 2}});
+  trailing.push_back(0);
+  forged.push_back(trailing);
+  Bytes varint_only = table_blob(300, {});
+  varint_only.push_back(0x80);
+  forged.push_back(varint_only);
+
+  std::mt19937_64 rng(0xF0A6E);
+  ParseTally tally;
+  const Bytes ones(64, 0xFF);
+  for (size_t i = 0; i < forged.size(); ++i) {
+    for (const size_t count : {0, 1, 2, 5, 64}) {
+      const Bytes bits = random_bytes(8 + count / 4, rng());
+      SCOPED_TRACE("forged " + std::to_string(i) + " count " +
+                   std::to_string(count));
+      expect_parse_decode_identical(BytesView(forged[i]), BytesView(bits),
+                                    count, tally);
+      expect_parse_decode_identical(BytesView(forged[i]), BytesView(ones),
+                                    count, tally);
+    }
+  }
+
+  for (int trial = 0; trial < 3000; ++trial) {
+    const uint64_t alphabet = rng() % (trial % 3 == 0 ? 4 : 300);
+    // Now and then the runs cover one symbol past the alphabet.
+    const uint64_t cover = alphabet + (rng() % 8 == 0 ? 1 : 0);
+    std::vector<std::pair<unsigned, uint64_t>> runs;
+    for (uint64_t pos = 0; pos < cover;) {
+      const unsigned pick = static_cast<unsigned>(rng() % 10);
+      const unsigned length = pick < 3   ? 0
+                              : pick < 9 ? 1 + static_cast<unsigned>(rng() % 12)
+                                         : static_cast<unsigned>(rng() % 40);
+      const uint64_t left = alphabet > pos ? alphabet - pos : 1;
+      const uint64_t run = rng() % 16 == 0
+                               ? rng() % 3
+                               : 1 + rng() % std::min<uint64_t>(left, 40);
+      runs.emplace_back(length, run);
+      pos += run == 0 ? 1 : run;
+    }
+    Bytes blob = table_blob(alphabet, runs);
+    if (rng() % 8 == 0) blob.push_back(static_cast<uint8_t>(rng()));
+    if (rng() % 8 == 0 && !blob.empty()) blob.resize(rng() % blob.size());
+    const bool long_stream = trial % 50 == 0;
+    const size_t count = long_stream
+                             ? huffman::kProbeDecodeMinSymbols + rng() % 500
+                             : rng() % 80;
+    const Bytes bits =
+        random_bytes(long_stream ? 6000 : rng() % 64, rng());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_parse_decode_identical(BytesView(blob), BytesView(bits), count,
+                                  tally);
+  }
+  EXPECT_GT(tally.compared, 1000u);
+  EXPECT_GT(tally.bounded, 0u);
 }
 
 // Random get sequences of 0 to 64 bits that run past the end: each get

@@ -32,7 +32,7 @@ TEST(Fuzz, RandomGarbageIntoDecoders) {
     } catch (const Error&) {
     }
     try {
-      (void)huffman::deserialize_table(view);
+      (void)huffman::deserialize_table(view, huffman::kMaxAlphabet);
     } catch (const Error&) {
     }
     try {

@@ -3,7 +3,6 @@
 // Encr-Huffman encrypts), and robustness against corrupt tables/streams.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 
 #include "common/error.h"
@@ -38,7 +37,8 @@ TEST(Huffman, TwoSymbolRoundTrip) {
 TEST(Huffman, SingleSymbolGetsOneBitCode) {
   const std::vector<uint32_t> syms(100, 7);
   const CodeTable t = build_code_table(histogram(syms, 8));
-  EXPECT_EQ(t.lengths[7], 1);
+  EXPECT_EQ(t.symbols, std::vector<uint32_t>{7});
+  EXPECT_EQ(t.lengths, std::vector<uint8_t>{1});
   EXPECT_EQ(t.used_symbols(), 1u);
   expect_round_trip(syms, 8);
 }
@@ -133,14 +133,15 @@ TEST(Huffman, CanonicalCodesAreNumericallyOrdered) {
   // shorter codes, left-shifted, are below longer ones.
   const std::vector<uint64_t> freq = {40, 30, 20, 5, 3, 2};
   const CodeTable t = build_code_table(freq);
-  std::map<unsigned, uint32_t> last_code;
   for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
     uint32_t prev = 0;
     bool first = true;
-    for (size_t s = 0; s < t.lengths.size(); ++s) {
-      if (t.lengths[s] != l) continue;
-      if (!first) EXPECT_GT(t.codes[s], prev);
-      prev = t.codes[s];
+    for (size_t i = 0; i < t.used_symbols(); ++i) {
+      if (t.lengths[i] != l) continue;
+      if (!first) {
+        EXPECT_GT(t.codes[i], prev);
+      }
+      prev = t.codes[i];
       first = false;
     }
   }
@@ -150,7 +151,9 @@ TEST(Huffman, SerializeDeserializeIdentity) {
   const std::vector<uint64_t> freq = {100, 50, 25, 12, 6, 3, 1, 1};
   const CodeTable t = build_code_table(freq);
   const Bytes blob = serialize_table(t);
-  const CodeTable u = deserialize_table(BytesView(blob));
+  const CodeTable u = deserialize_table(BytesView(blob), 8);
+  EXPECT_EQ(t.alphabet, u.alphabet);
+  EXPECT_EQ(t.symbols, u.symbols);
   EXPECT_EQ(t.lengths, u.lengths);
   EXPECT_EQ(t.codes, u.codes);
 }
@@ -163,19 +166,21 @@ TEST(Huffman, SerializedTableIsCompactForSparseAlphabets) {
   const CodeTable t = build_code_table(freq);
   const Bytes blob = serialize_table(t);
   EXPECT_LT(blob.size(), 200u);
-  EXPECT_EQ(deserialize_table(BytesView(blob)).lengths, t.lengths);
+  const CodeTable u = deserialize_table(BytesView(blob), 20);
+  EXPECT_EQ(u.symbols, t.symbols);
+  EXPECT_EQ(u.lengths, t.lengths);
 }
 
 TEST(Huffman, CorruptTableThrows) {
   const std::vector<uint64_t> freq = {10, 20, 30};
   const Bytes blob = serialize_table(build_code_table(freq));
   // Truncation.
-  EXPECT_THROW(deserialize_table(BytesView(blob).subspan(0, 1)),
+  EXPECT_THROW(deserialize_table(BytesView(blob).subspan(0, 1), 3),
                CorruptError);
   // Trailing garbage.
   Bytes extended = blob;
   extended.push_back(0xFF);
-  EXPECT_THROW(deserialize_table(BytesView(extended)), Error);
+  EXPECT_THROW(deserialize_table(BytesView(extended), 3), Error);
 }
 
 TEST(Huffman, OversubscribedLengthsRejected) {

@@ -128,13 +128,16 @@ TEST(Scheduler, BackpressureBoundsInFlightWindow) {
   EXPECT_LE(max_uncommitted.load(), window);
 }
 
-// Polls `done` until it holds or 10 s pass.
+// Polls `done` until it holds or 10 s pass.  The deadline only bounds a
+// hang; it never decides a result.
 template <typename Pred>
 bool eventually(Pred done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto deadline = std::chrono::steady_clock::now() +  // determinism-ok
+                        std::chrono::seconds(10);
   while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
+    if (std::chrono::steady_clock::now() > deadline) {  // determinism-ok
+      return false;
+    }
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   return true;
