@@ -2,7 +2,9 @@
 //
 // Measures MB/s for the three hand-written kernel families — AES block
 // modes (scalar / AES-NI / VAES), Huffman decode (tree walk vs. the
-// multi-symbol probe table), and the SZ predict/quantize row kernels
+// two-level tables, on narrow codes, on the hard chunk's codes, and at
+// kProbeDecodeMinSymbols where the table build is most of a call), and
+// the SZ predict/quantize row kernels
 // (scalar / SSE2 / AVX2) — forcing each level in-process through
 // cpu::override_features_for_testing().  The entropy encoders (Huffman
 // encode, zlite deflate) are timed against the per-bit and per-byte
@@ -21,7 +23,10 @@
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
 //   * AES-NI CTR throughput is below 4x the scalar backend,
-//   * probe-table Huffman decode is below 2x the tree walk,
+//   * table-driven Huffman decode is below 2x the tree walk on narrow
+//     codes, or below 3.5x on the hard chunk's codes (9.2% of them past
+//     the root window, so a fall back to the bit walk for long codewords
+//     breaches it),
 //   * Huffman encode is below 1.5x the reference, or zlite deflate below
 //     1.2x, over a MB of each payload (the speedup on the summed time),
 //   * Huffman set-up (build plus table write, table parse plus decode
@@ -298,6 +303,116 @@ Bytes chunk_payload(bool hard) {
   return szsec::core::codec::assemble_payload(szsec::core::Scheme::kNone, p);
 }
 
+// Huffman decode of the hard chunk's 262,144 quantization codes, tree walk
+// against the two-level tables: thousands of used bins, and codewords
+// past the root window that take the second level.  Returns the speedup.
+double bench_huffman_wide(std::vector<KernelResult>& out) {
+  namespace huffman = szsec::huffman;
+  const std::vector<uint32_t> symbols = chunk_quant(true).codes;
+  const huffman::CodeTable table =
+      huffman::build_code_table(huffman::count_symbols(symbols));
+  const Bytes bits = huffman::encode(table, symbols);
+  const size_t count = symbols.size();
+  std::vector<size_t> with_length(huffman::kMaxCodeLength + 1, 0);
+  {
+    std::vector<uint8_t> length(table.symbols.back() + size_t{1}, 0);
+    for (size_t i = 0; i < table.used_symbols(); ++i) {
+      length[table.symbols[i]] = table.lengths[i];
+    }
+    for (const uint32_t s : symbols) ++with_length[length[s]];
+  }
+  size_t total_bits = 0, past_root = 0;
+  unsigned longest = 0;
+  for (unsigned l = 1; l <= huffman::kMaxCodeLength; ++l) {
+    total_bits += l * with_length[l];
+    if (l > huffman::kDecodeTableBits) past_root += with_length[l];
+    if (with_length[l] != 0) longest = l;
+  }
+  std::printf(
+      "huffman-decode-wide: %zu symbols, %zu used, mean %.1f bits, "
+      "longest %u, %.1f%% past %u bits\n",
+      count, table.used_symbols(),
+      static_cast<double>(total_bits) / static_cast<double>(count), longest,
+      100.0 * static_cast<double>(past_root) / static_cast<double>(count),
+      huffman::kDecodeTableBits);
+  SZSEC_REQUIRE(huffman::decode(table, BytesView(bits), count) == symbols,
+                "wide table decode differs");
+
+  const size_t payload = count * sizeof(uint32_t);
+  const double tree = time_mbps(payload, [&] {
+    SZSEC_REQUIRE(
+        huffman::decode_tree_walk(table, BytesView(bits), count).size() ==
+            count,
+        "tree-walk decode truncated");
+  });
+  const double probe = time_mbps(payload, [&] {
+    SZSEC_REQUIRE(
+        huffman::decode(table, BytesView(bits), count).size() == count,
+        "table decode truncated");
+  });
+  out.push_back({"huffman-decode-wide-tree", "scalar", tree});
+  out.push_back({"huffman-decode-wide-table", "scalar", probe});
+  return probe / tree;
+}
+
+// Huffman decode at kProbeDecodeMinSymbols, the shortest stream that takes
+// the tables, where their build is most of a call: 32 narrow streams
+// (sigma 2.5 around the central bin, 15-20 used bins) and 32 wide ones
+// (sigma 40, about 160), each with its own table as each field or chunk
+// has.  Tree walk against the tables; MB/s over both sets' symbols.
+void bench_huffman_decode_setup(std::vector<KernelResult>& out) {
+  namespace huffman = szsec::huffman;
+  constexpr size_t kStreams = 32;
+  constexpr size_t kCount = huffman::kProbeDecodeMinSymbols;
+  // Enough streams per timed call for the CPU clock to resolve.
+  constexpr size_t kReps = 16;
+  struct Stream {
+    huffman::CodeTable table;
+    Bytes bits;
+  };
+  double tree_s = 0, table_s = 0;  // seconds per MB, summed over the sets
+  for (const double sigma : {2.5, 40.0}) {
+    std::mt19937_64 rng(0x5E7D);
+    std::normal_distribution<double> gauss(0.0, sigma);
+    std::vector<Stream> streams;
+    for (size_t k = 0; k < kStreams; ++k) {
+      std::vector<uint32_t> symbols(kCount);
+      for (auto& s : symbols) {
+        const auto d = static_cast<int64_t>(std::lround(gauss(rng)));
+        s = static_cast<uint32_t>(32768 + std::clamp<int64_t>(d, -512, 512));
+      }
+      huffman::CodeTable table =
+          huffman::build_code_table(huffman::count_symbols(symbols));
+      Bytes bits = huffman::encode(table, symbols);
+      streams.push_back({std::move(table), std::move(bits)});
+    }
+    const size_t bytes = kReps * kStreams * kCount * sizeof(uint32_t);
+    const auto rate = [&](auto&& decode) {
+      return time_mbps(bytes, [&] {
+        for (size_t r = 0; r < kReps; ++r) {
+          for (const Stream& s : streams) {
+            SZSEC_REQUIRE(
+                decode(s.table, BytesView(s.bits), kCount).size() == kCount,
+                "decode truncated");
+          }
+        }
+      });
+    };
+    const double tree = rate(huffman::decode_tree_walk);
+    const double table = rate(huffman::decode);
+    const auto us_per_call = [](double mbps) {
+      return kCount * sizeof(uint32_t) / mbps;
+    };
+    std::printf("huffman-decode-setup: sigma %.1f, %zu symbols a call, "
+                "tree %.1f us, table %.1f us\n",
+                sigma, kCount, us_per_call(tree), us_per_call(table));
+    tree_s += 1 / tree;
+    table_s += 1 / table;
+  }
+  out.push_back({"huffman-decode-setup", "tree", 2 / tree_s});
+  out.push_back({"huffman-decode-setup", "table", 2 / table_s});
+}
+
 // zlite inflate of both chunk payloads and CRC-32 of the hard one against
 // their references; returns the speedups.  MB/s count decoded bytes.
 std::pair<double, double> bench_decoders(std::vector<KernelResult>& out) {
@@ -484,6 +599,8 @@ int main(int argc, char** argv) {
   cpu::override_features_for_testing(detected);
   bench_huffman(results, huffman_ratio);
   const auto [encode_ratio, deflate_ratio] = bench_entropy_encoders(results);
+  const double wide_ratio = bench_huffman_wide(results);
+  bench_huffman_decode_setup(results);
   const auto [inflate_ratio, crc_ratio] = bench_decoders(results);
   const double setup_ratio = bench_huffman_setup(results);
 
@@ -528,6 +645,14 @@ int main(int argc, char** argv) {
     f.name = "huffman-table-vs-tree";
     f.floor = 2.0;
     f.ratio = huffman_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "huffman-wide-table-vs-tree";
+    f.floor = 3.5;
+    f.ratio = wide_ratio;
     f.pass = f.ratio >= f.floor;
     floors.push_back(f);
   }

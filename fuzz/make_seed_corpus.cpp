@@ -10,6 +10,7 @@
 // mode, dtype and container version at minimal replay cost, plus a few
 // malformed variants so the strict-decode error paths are represented.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -140,6 +141,49 @@ void emit_huffman(const fs::path& root) {
   const Bytes bomb = w.take();
   write_entry(dir, "regress_table_alphabet_bomb.bin",
               BytesView(frame(symbols.size(), BytesView(bomb), bits)));
+
+  // Long codewords: a two-sided geometric spread over 49 of 65,536 bins
+  // (codewords up to 26 bits), 1,000 symbols drawn evenly over them, so
+  // the stream takes the decoder's root table, its second-level tables
+  // and, past 18 bits, the walk.
+  std::vector<uint64_t> wide(65536, 0);
+  for (int d = -24; d <= 24; ++d) {
+    wide[static_cast<size_t>(32768 + d)] = uint64_t{1} << (24 - std::abs(d));
+  }
+  const huffman::CodeTable wide_table = huffman::build_code_table(wide);
+  crypto::CtrDrbg drbg(0x10C0DE);
+  const Bytes picks = drbg.generate(1000);
+  std::vector<uint32_t> wide_symbols;
+  for (const uint8_t p : picks) {
+    wide_symbols.push_back(wide_table.symbols[p % wide_table.used_symbols()]);
+  }
+  write_entry(dir, "wide_long_codewords.bin",
+              BytesView(frame(wide_symbols.size(),
+                              BytesView(huffman::serialize_table(wide_table)),
+                              BytesView(huffman::encode(wide_table,
+                                                        wide_symbols)))));
+
+  // Hole in a second-level table: symbols 0-10 take codewords of 1-11
+  // bits, leaving the all-ones root prefix, and symbols 11-14 take 14-bit
+  // codewords that cover half of it.  600 symbols (and the zero padding
+  // of their last byte, symbol 0 each), then one bits that run into the
+  // uncovered half: a dead branch before the 700th symbol.
+  ByteWriter hw;
+  hw.put_varint(15);
+  for (unsigned length = 1; length <= 11; ++length) {
+    hw.put_u8(static_cast<uint8_t>(length));
+    hw.put_varint(1);
+  }
+  hw.put_u8(14);
+  hw.put_varint(4);
+  const Bytes holed = hw.take();
+  std::vector<uint32_t> holed_symbols;
+  for (uint32_t i = 0; i < 600; ++i) holed_symbols.push_back(i * 7 % 15);
+  Bytes holed_bits = huffman::encode(
+      huffman::deserialize_table(BytesView(holed), 700), holed_symbols);
+  holed_bits.insert(holed_bits.end(), 16, 0xFF);
+  write_entry(dir, "forged_subtable_hole.bin",
+              BytesView(frame(700, BytesView(holed), BytesView(holed_bits))));
 }
 
 void emit_zlite(const fs::path& root) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "common/error.h"
@@ -273,6 +274,7 @@ struct Canonical {
   std::array<uint32_t, kMaxCodeLength + 1> first_index{};
   std::array<uint32_t, kMaxCodeLength + 1> lcount{};
   std::vector<uint32_t> sorted;
+  unsigned min_length = kMaxCodeLength + 1;  // shortest used length
 };
 
 Canonical build_canonical(const CodeTable& table) {
@@ -284,6 +286,7 @@ Canonical build_canonical(const CodeTable& table) {
     c.first_code[l] = code;
     c.first_index[l] = index;
     index += c.lcount[l];
+    if (c.lcount[l] != 0) c.min_length = std::min(c.min_length, l);
   }
   // One counting-sort pass over the used symbols: they are ascending, so
   // they land in (length, symbol) order.
@@ -303,43 +306,182 @@ void check_count(BytesView bits, size_t count) {
                      "symbol count exceeds bitstream capacity");
 }
 
-// One entry of the flat probe table: the symbols spelled out by the top
-// kDecodeTableBits of the bitstream, as many as fit (up to
-// kMaxSymbolsPerProbe).  nsym == 0 marks a first codeword longer than
-// the window — the caller falls back to the exact bit walk.
+// Whether the code lengths keep the Kraft sum at most 1.  Every table the
+// library builds or parses does; a hand-assembled CodeTable might not,
+// and its codewords would index past the decode tables.
+bool kraft_ok(const Canonical& c) {
+  uint64_t kraft = 0;
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    kraft += uint64_t{c.lcount[l]} << (kMaxCodeLength - l);
+  }
+  return kraft <= uint64_t{1} << kMaxCodeLength;
+}
+
+// One entry of the root probe table: the symbols spelled out by the top
+// kDecodeTableBits of the bitstream, as many whole codewords as fit (up
+// to kMaxSymbolsPerProbe), in nbits bits.  nsym == 0 marks a first
+// codeword longer than the window: nbits is then the width of the
+// second-level table under this prefix and sym[0] its offset, or 0 where
+// no codeword starts with these bits and the decoder walks.
 struct ProbeEntry {
   uint8_t nsym;
-  uint8_t nbits;  // total bits consumed by the nsym symbols
+  uint8_t nbits;
   uint32_t sym[kMaxSymbolsPerProbe];
 };
 
-std::vector<ProbeEntry> build_probe_table(const Canonical& c) {
-  std::vector<ProbeEntry> dt(size_t{1} << kDecodeTableBits);
-  for (uint32_t idx = 0; idx < dt.size(); ++idx) {
-    ProbeEntry e{};
-    unsigned used = 0;
-    while (e.nsym < kMaxSymbolsPerProbe) {
-      // Walk the canonical code over window bits [used, kDecodeTableBits).
-      uint32_t code = 0;
-      unsigned len = 0;
-      bool matched = false;
-      while (used + len < kDecodeTableBits) {
-        const unsigned bit = (idx >> (kDecodeTableBits - 1 - (used + len))) & 1u;
-        code = (code << 1) | bit;
-        ++len;
-        if (c.lcount[len] != 0 && code - c.first_code[len] < c.lcount[len]) {
-          e.sym[e.nsym++] = c.sorted[c.first_index[len] + (code - c.first_code[len])];
-          used += len;
-          matched = true;
-          break;
+// One entry of a second-level table: the symbol whose codeword, nbits
+// long from its first bit, starts with the root prefix and then the
+// entry's index.  nbits == 0 where the codeword runs past
+// kDecodeTableBits + kMaxSubTableBits or no codeword covers the bits.
+struct SubEntry {
+  uint32_t sym;
+  uint32_t nbits;
+};
+
+struct DecodeTables {
+  static constexpr size_t kRootSize = size_t{1} << kDecodeTableBits;
+  // Every root entry is filled, so it is allocated without zeroing.
+  std::unique_ptr<ProbeEntry[]> root =
+      std::make_unique_for_overwrite<ProbeEntry[]>(kRootSize);
+  std::vector<SubEntry> sub;
+};
+
+// Fills the 2^r probe entries at `dt` whose indexes start with the bits
+// of e's D symbols: each codeword of at most r bits, taken in canonical
+// (that is, ascending) order, extends e over its own index range, and the
+// entries past the last of them keep e.  So each sequence of codewords
+// that fits the window is stored once, straight into its range.
+template <unsigned D>
+void fill_probe(const Canonical& c, const ProbeEntry& e, unsigned r,
+                ProbeEntry* dt) {
+  ProbeEntry* at = dt;
+  if constexpr (D < kMaxSymbolsPerProbe) {
+    for (unsigned l = c.min_length; l <= r; ++l) {
+      const uint32_t* sym = c.sorted.data() + c.first_index[l];
+      const size_t span = size_t{1} << (r - l);
+      for (uint32_t j = 0; j < c.lcount[l]; ++j, at += span) {
+        ProbeEntry next = e;
+        next.nsym = D + 1;
+        next.sym[D] = sym[j];
+        next.nbits = static_cast<uint8_t>(e.nbits + l);
+        if constexpr (D + 1 < kMaxSymbolsPerProbe) {
+          if (r - l >= c.min_length) {
+            fill_probe<D + 1>(c, next, r - l, at);
+            continue;
+          }
         }
+        std::fill(at, at + span, next);
       }
-      if (!matched) break;  // next codeword spills past the window
     }
-    e.nbits = static_cast<uint8_t>(used);
-    dt[idx] = e;
   }
-  return dt;
+  std::fill(at, dt + (size_t{1} << r), e);
+}
+
+// The root probe table, and a second-level table under each root prefix
+// that codewords run past: 2^min(L - kDecodeTableBits, kMaxSubTableBits)
+// entries, where L is the longest codeword under the prefix.  Canonical
+// codewords run in ascending order from all zeros, so the long ones fill
+// the prefixes from the first that is not a whole short codeword, each
+// from its start, and the last codeword under a prefix is its longest.
+// Needs a Kraft sum of at most 1.
+DecodeTables build_decode_tables(const Canonical& c) {
+  constexpr unsigned kRoot = kDecodeTableBits;
+  DecodeTables t;
+  fill_probe<0>(c, ProbeEntry{}, kRoot, t.root.get());
+
+  // Size every second-level table in one pass over the long lengths.
+  size_t first = DecodeTables::kRootSize, last = 0;
+  for (unsigned l = kRoot + 1; l <= kMaxCodeLength; ++l) {
+    if (c.lcount[l] == 0) continue;
+    const unsigned shift = l - kRoot;
+    const size_t lo = c.first_code[l] >> shift;
+    const size_t hi = (c.first_code[l] + c.lcount[l] - 1) >> shift;
+    const auto bits = static_cast<uint8_t>(std::min(shift, kMaxSubTableBits));
+    for (size_t p = lo; p <= hi; ++p) t.root[p].nbits = bits;
+    first = std::min(first, lo);
+    last = hi;
+  }
+  size_t total = 0;
+  for (size_t p = first; p <= last; ++p) {
+    t.root[p].sym[0] = static_cast<uint32_t>(total);
+    total += size_t{1} << t.root[p].nbits;
+  }
+  t.sub.resize(total);
+
+  for (unsigned l = kRoot + 1; l <= kRoot + kMaxSubTableBits; ++l) {
+    const unsigned shift = l - kRoot;
+    const uint32_t* sym = c.sorted.data() + c.first_index[l];
+    for (uint32_t j = 0; j < c.lcount[l]; ++j) {
+      const uint32_t code = c.first_code[l] + j;
+      const ProbeEntry& e = t.root[code >> shift];
+      const unsigned spare = e.nbits - shift;
+      SubEntry* at = t.sub.data() + e.sym[0] +
+                     ((code & ((uint32_t{1} << shift) - 1)) << spare);
+      std::fill(at, at + (size_t{1} << spare), SubEntry{sym[j], l});
+    }
+  }
+  return t;
+}
+
+// MSB-first read position over the code stream: `acc` holds at least the
+// next `have` stream bits in its top bits.  The wide refill may OR in
+// more real stream bits than `have` accounts for; that is harmless, as
+// the next refill ORs the same values over themselves.
+struct MsbCursor {
+  const uint8_t* next;  // first byte not yet loaded into acc
+  const uint8_t* end;
+  uint64_t acc = 0;
+  unsigned have = 0;
+
+  explicit MsbCursor(BytesView bits)
+      : next(bits.data()), end(bits.data() + bits.size()) {}
+
+  // At least 56 bits buffered afterwards while 8 input bytes remain;
+  // bytewise over the last 7.
+  void refill() {
+    if (end - next >= 8) {
+      uint64_t chunk;
+      std::memcpy(&chunk, next, 8);
+      if constexpr (std::endian::native == std::endian::little) {
+        chunk = __builtin_bswap64(chunk);
+      }
+      acc |= chunk >> have;
+      const unsigned consumed = (63u - have) >> 3;
+      next += consumed;
+      have += consumed * 8;
+    } else {
+      while (have <= 56 && next < end) {
+        acc |= static_cast<uint64_t>(*next++) << (56 - have);
+        have += 8;
+      }
+    }
+  }
+
+  void consume(unsigned nbits) {
+    acc <<= nbits;
+    have -= nbits;
+  }
+};
+
+// One symbol by the exact bit walk over the cursor: the comparisons and
+// errors of decode_tree_walk, for codewords the tables do not resolve
+// and the stream tail.
+uint32_t walk_one(const Canonical& c, MsbCursor& in) {
+  uint32_t code = 0;
+  unsigned len = 0;
+  while (true) {
+    SZSEC_CHECK_FORMAT(len < kMaxCodeLength, "dead branch in Huffman code");
+    if (in.have == 0) {
+      in.refill();
+      SZSEC_CHECK_FORMAT(in.have > 0, "bitstream exhausted");
+    }
+    code = (code << 1) | static_cast<uint32_t>(in.acc >> 63);
+    in.consume(1);
+    ++len;
+    if (c.lcount[len] != 0 && code - c.first_code[len] < c.lcount[len]) {
+      return c.sorted[c.first_index[len] + (code - c.first_code[len])];
+    }
+  }
 }
 
 }  // namespace
@@ -373,92 +515,64 @@ std::vector<uint32_t> decode_tree_walk(const CodeTable& table, BytesView bits,
 
 std::vector<uint32_t> decode(const CodeTable& table, BytesView bits,
                              size_t count) {
-  // Short streams don't amortize the 2^kDecodeTableBits probe-table
-  // build; take the exact walk directly.
+  // Short streams don't amortize the table build; take the exact walk
+  // directly.
   if (count < kProbeDecodeMinSymbols) {
     return decode_tree_walk(table, bits, count);
   }
 
   const Canonical c = build_canonical(table);
+  if (!kraft_ok(c)) return decode_tree_walk(table, bits, count);
   check_count(bits, count);
-  const std::vector<ProbeEntry> dt = build_probe_table(c);
+  const DecodeTables dt = build_decode_tables(c);
 
-  // 64-bit MSB-aligned accumulator over the byte buffer: `acc` holds at
-  // least the next `have` stream bits in its top bits.  The wide refill
-  // may OR in more real stream bits than `have` accounts for; that is
-  // harmless — the next refill ORs the same values over themselves.
-  const uint8_t* data = bits.data();
-  const size_t nbytes = bits.size();
-  uint64_t acc = 0;
-  unsigned have = 0;
-  size_t next_byte = 0;
-  const auto refill = [&] {
-    if (next_byte + 8 <= nbytes) {
-      uint64_t chunk;
-      std::memcpy(&chunk, data + next_byte, 8);
-      if constexpr (std::endian::native == std::endian::little) {
-        chunk = __builtin_bswap64(chunk);
-      }
-      acc |= chunk >> have;
-      const unsigned consumed = (63u - have) >> 3;
-      next_byte += consumed;
-      have += consumed * 8;
-    } else {
-      while (have <= 56 && next_byte < nbytes) {
-        acc |= static_cast<uint64_t>(data[next_byte++]) << (56 - have);
-        have += 8;
-      }
-    }
-  };
-  // Exact bit walk over the accumulator — same comparisons and same
-  // error behavior as decode_tree_walk, used for over-long codewords
-  // and the stream tail.
-  const auto decode_one = [&]() -> uint32_t {
-    uint32_t code = 0;
-    unsigned len = 0;
-    while (true) {
-      SZSEC_CHECK_FORMAT(len < kMaxCodeLength, "dead branch in Huffman code");
-      if (have == 0) {
-        refill();
-        SZSEC_CHECK_FORMAT(have > 0, "bitstream exhausted");
-      }
-      code = (code << 1) | static_cast<uint32_t>(acc >> 63);
-      acc <<= 1;
-      --have;
-      ++len;
-      if (c.lcount[len] != 0 && code - c.first_code[len] < c.lcount[len]) {
-        return c.sorted[c.first_index[len] + (code - c.first_code[len])];
-      }
-    }
-  };
+  MsbCursor in(bits);
+  // One refill leaves at least kRefillBits buffered while 8 input bytes
+  // remain, enough for kSteps table steps of at most kStepBits each.
+  constexpr unsigned kSteps = 3;
+  constexpr unsigned kStepBits = kDecodeTableBits + kMaxSubTableBits;
+  constexpr unsigned kRefillBits = 56;
+  static_assert(kSteps * kStepBits <= kRefillBits);
 
-  // Preallocated output with raw-pointer stores: the probe loop writes all
-  // kMaxSymbolsPerProbe slots unconditionally (the `i + kMaxSymbolsPerProbe
-  // <= count` guard reserves room) and advances by the real count, which
-  // keeps the hot loop free of per-symbol bounds checks.
+  // Preallocated output with raw-pointer stores: a root step writes all
+  // kMaxSymbolsPerProbe slots unconditionally (the loop guard reserves
+  // room for kSteps of them) and advances by the real count, which keeps
+  // the hot loop free of per-symbol bounds checks.
   std::vector<uint32_t> out(count);
   uint32_t* op = out.data();
-  size_t i = 0;
-  while (i + kMaxSymbolsPerProbe <= count) {
-    refill();
-    if (have < kDecodeTableBits) break;  // tail: finish with the exact walk
-    const ProbeEntry& e = dt[acc >> (64 - kDecodeTableBits)];
-    if (e.nsym == 0) {
-      // First codeword longer than the window: exact walk for one symbol.
-      *op++ = decode_one();
-      ++i;
-      continue;
+  uint32_t* const end = op + count;
+  const ProbeEntry* const root = dt.root.get();
+  const SubEntry* const sub = dt.sub.data();
+  while (static_cast<size_t>(end - op) >= kSteps * kMaxSymbolsPerProbe) {
+    in.refill();
+    if (in.have < kRefillBits) break;  // tail: finish with the exact walk
+    for (unsigned step = 0; step < kSteps; ++step) {
+      const ProbeEntry& e = root[in.acc >> (64 - kDecodeTableBits)];
+      if (e.nsym != 0) {
+        static_assert(kMaxSymbolsPerProbe == 3, "unrolled stores below");
+        op[0] = e.sym[0];
+        op[1] = e.sym[1];
+        op[2] = e.sym[2];
+        op += e.nsym;
+        in.consume(e.nbits);
+        continue;
+      }
+      if (e.nbits != 0) {
+        const SubEntry& s =
+            sub[e.sym[0] + ((in.acc << kDecodeTableBits) >> (64 - e.nbits))];
+        if (s.nbits != 0) {
+          *op++ = s.sym;
+          in.consume(s.nbits);
+          continue;
+        }
+      }
+      // A codeword past kStepBits, or bits no codeword covers: the exact
+      // walk from the codeword's first bit, then a fresh refill.
+      *op++ = walk_one(c, in);
+      break;
     }
-    static_assert(kMaxSymbolsPerProbe == 3, "unrolled stores below");
-    op[0] = e.sym[0];
-    op[1] = e.sym[1];
-    op[2] = e.sym[2];
-    op += e.nsym;
-    acc <<= e.nbits;
-    have -= e.nbits;
-    i += e.nsym;
   }
-  for (; i < count; ++i) *op++ = decode_one();
+  while (op != end) *op++ = walk_one(c, in);
   return out;
 }
 

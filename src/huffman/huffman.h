@@ -35,20 +35,32 @@ inline constexpr unsigned kMaxCodeLength = 32;
 /// Largest alphabet a serialized table may declare.
 inline constexpr uint64_t kMaxAlphabet = uint64_t{1} << 28;
 
-/// Width of the flat probe table used by the fast decoder: each lookup
+/// Width of the root probe table used by the fast decoder: each lookup
 /// indexes with the next kDecodeTableBits stream bits and yields every
-/// whole codeword inside that window (up to kMaxSymbolsPerProbe).
-/// Quantization codes cluster tightly around the zero bin, so typical
-/// codewords are 2-5 bits and one probe resolves 2-3 symbols.
+/// whole codeword inside that window (up to kMaxSymbolsPerProbe).  How
+/// many that is depends on the field: on a smooth field at a loose bound
+/// codewords are 2-5 bits and one probe resolves 2-3 symbols, while a
+/// turbulent chunk at a tight bound (the hard chunk of bench_kernels)
+/// averages 7.0 bits, one symbol a probe, and 9.2% of its codewords are
+/// longer than the window and take a second-level table.
 inline constexpr unsigned kDecodeTableBits = 11;
 
 /// Most symbols a single probe-table entry can carry.
 inline constexpr unsigned kMaxSymbolsPerProbe = 3;
 
+/// Widest second-level table: codewords of up to kDecodeTableBits +
+/// kMaxSubTableBits bits decode in two lookups, longer ones by the exact
+/// walk.
+inline constexpr unsigned kMaxSubTableBits = 7;
+
 /// decode() falls back to decode_tree_walk() below this symbol count,
-/// where building the 2^kDecodeTableBits probe table costs more than it
-/// saves.
-inline constexpr size_t kProbeDecodeMinSymbols = 4096;
+/// where building the decode tables costs more than they save.  The
+/// smallest power of two at which the tables beat the walk on both narrow
+/// (sigma 2.5) and wide (sigma 40) quantization codes; the two break even
+/// at 320 to 384 symbols.  On small fields' own codes (1,000 to 3,375
+/// symbols, 50 to 497 used bins) the tables take 0.3 to 0.8 of the walk's
+/// time (docs/PERFORMANCE.md, "Stage-3 decode").
+inline constexpr size_t kProbeDecodeMinSymbols = 512;
 
 /// Canonical code table over the symbols 0 .. alphabet - 1.  Only the used
 /// symbols are stored: symbols[i] has code length lengths[i] (1 ..
@@ -114,11 +126,15 @@ Bytes encode(const CodeTable& table, std::span<const uint32_t> symbols);
 /// Decodes exactly `count` symbols from `bits`.
 /// Throws CorruptError if the stream is exhausted or hits a dead branch.
 ///
-/// Large streams take a table-driven fast path: a flat probe table
-/// (kDecodeTableBits wide) decodes several symbols per lookup from a
-/// 64-bit accumulator, falling back to the exact canonical walk for
-/// over-long codewords and the stream tail.  Output and error behavior
-/// are identical to decode_tree_walk() on every input.
+/// Streams of kProbeDecodeMinSymbols or more take a two-level table
+/// decoder over a 64-bit accumulator: the root probe table
+/// (kDecodeTableBits wide) resolves up to kMaxSymbolsPerProbe whole
+/// codewords a lookup, and a second-level table under each root prefix
+/// that longer codewords share resolves one codeword of up to
+/// kDecodeTableBits + kMaxSubTableBits bits.  Longer codewords, bits no
+/// codeword covers (an incomplete code) and the stream tail take the
+/// exact canonical walk.  Output and error behavior are identical to
+/// decode_tree_walk() on every input.
 std::vector<uint32_t> decode(const CodeTable& table, BytesView bits,
                              size_t count);
 

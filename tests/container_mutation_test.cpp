@@ -220,6 +220,54 @@ TEST(DecoderHardening, HuffmanTableAlphabetBombRejected) {
       << "VmHWM grew by more than 8 MiB";
 }
 
+// huffman::decode's second-level tables grow with the codewords past the
+// root window, and the used-symbol bound caps those at the stream's
+// symbol count.  A forged table with the most 18-bit codewords a stream at
+// kProbeDecodeMinSymbols admits (one run, an incomplete code whose
+// second-level tables are each 2^kMaxSubTableBits wide) must decode
+// exactly as the walk does, or fail as it does, over zero bits (every
+// symbol the first codeword), one bits (the hole past the last codeword)
+// and random bits, without VmHWM growing by 8 MiB.
+TEST(DecoderHardening, HuffmanSecondLevelTablesBounded) {
+  const size_t count = huffman::kProbeDecodeMinSymbols;
+  const unsigned length =
+      huffman::kDecodeTableBits + huffman::kMaxSubTableBits;
+  ByteWriter w;
+  w.put_varint(count);
+  w.put_u8(static_cast<uint8_t>(length));
+  w.put_varint(count);
+  const Bytes table = w.take();
+  const Bytes zeros(count * length / 8, 0x00);
+  const Bytes ones(zeros.size(), 0xFF);
+  crypto::CtrDrbg drbg(0x18B175);
+  const Bytes noise = drbg.generate(zeros.size());
+  const uint64_t peak_before = peak_rss_kib();
+  for (const Bytes* bits : {&zeros, &ones, &noise}) {
+    const huffman::CodeTable t =
+        huffman::deserialize_table(BytesView(table), count);
+    ASSERT_EQ(t.used_symbols(), count);
+    std::string fast, walk;
+    std::vector<uint32_t> fast_out, walk_out;
+    try {
+      fast_out = huffman::decode(t, BytesView(*bits), count);
+    } catch (const CorruptError& e) {
+      fast = e.what();
+    }
+    try {
+      walk_out = huffman::decode_tree_walk(t, BytesView(*bits), count);
+    } catch (const CorruptError& e) {
+      walk = e.what();
+    }
+    EXPECT_EQ(fast, walk);
+    EXPECT_EQ(fast_out, walk_out);
+    if (bits == &zeros) {
+      EXPECT_EQ(fast_out, std::vector<uint32_t>(count, 0));
+    }
+  }
+  EXPECT_LT(peak_rss_kib() - peak_before, uint64_t{8} * 1024)
+      << "VmHWM grew by more than 8 MiB";
+}
+
 // Rank-4 extents that each pass the per-axis cap can multiply past
 // 2^64; Dims::count() would silently wrap and every downstream size
 // computation with it.  All three untrusted-header parsers must reject

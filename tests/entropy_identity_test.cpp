@@ -23,7 +23,10 @@
 // frequency-halving rounds).  The sparse parser plus decoder must give
 // the dense parser plus decoder's symbols or error on truncated,
 // bit-flipped and forged tables, except where the library's used-symbol
-// bound fires, which the reference lacks.
+// bound fires, which the reference lacks.  Codes whose longest codewords
+// are 11, 12, 18, 19 and 32 bits, complete or with holes at the root and
+// inside a second-level table, run the decoder's two-level tables over
+// every truncation, seeded bit flips and counts around its guards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +44,7 @@
 #include "common/bitstream.h"
 #include "common/crc32.h"
 #include "huffman/huffman.h"
+#include "testing/code_shapes.h"
 #include "testing/reference_coders.h"
 #include "zlite/zlite.h"
 
@@ -905,6 +909,125 @@ TEST(EntropyIdentity, HuffmanParseForgedTables) {
   }
   EXPECT_GT(tally.compared, 1000u);
   EXPECT_GT(tally.bounded, 0u);
+}
+
+// Huffman second level: codewords past the root window, through the
+// two-level tables, the walk, and the holes of incomplete codes.
+
+// A table of each code shape (src/testing/code_shapes.h), its used
+// symbols spread over an alphabet twice as wide, with a stream of `count`
+// symbols over it: half drawn from every used symbol, so long codewords
+// are frequent, half from the codewords within the root window.
+std::vector<HuffmanCase> second_level_cases(size_t count, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<HuffmanCase> cases;
+  for (const testing::CodeShape& shape : testing::second_level_shapes()) {
+    const std::vector<uint8_t> lengths = testing::shape_lengths(shape, rng);
+    std::vector<uint8_t> dense(2 * lengths.size(), 0);
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      dense[2 * i + rng() % 2] = lengths[i];
+    }
+    const huffman::CodeTable t = huffman::CodeTable::from_lengths(dense);
+    std::vector<uint32_t> in_root;
+    for (size_t i = 0; i < t.used_symbols(); ++i) {
+      if (t.lengths[i] <= huffman::kDecodeTableBits) {
+        in_root.push_back(t.symbols[i]);
+      }
+    }
+    std::vector<uint32_t> symbols(count);
+    for (auto& s : symbols) {
+      s = rng() % 2 == 0 ? t.symbols[rng() % t.used_symbols()]
+                         : in_root[rng() % in_root.size()];
+    }
+    cases.push_back(
+        {huffman::serialize_table(t), huffman::encode(t, symbols), symbols});
+  }
+  return cases;
+}
+
+// Counts at and around kProbeDecodeMinSymbols, where decode() starts to
+// take the tables, and around the fast loop's exit, which leaves the last
+// eight or fewer symbols of a stream of `n` to the walk.
+std::vector<size_t> guard_counts(size_t n) {
+  const size_t min = huffman::kProbeDecodeMinSymbols;
+  return {min - 1, min, min + 1, min + 8, min + 9, min + 10,
+          n - 10,  n - 9, n - 8, n - 1, n,       n + 1};
+}
+
+// Every prefix of each table, and every prefix of each stream (every
+// seventh but in the last 80 bytes, where the fast loop hands over to the
+// walk), under the true count and one more, just past the threshold.
+TEST(EntropyIdentity, HuffmanSecondLevelEveryTruncation) {
+  ParseTally tally;
+  for (const HuffmanCase& c :
+       second_level_cases(huffman::kProbeDecodeMinSymbols + 9, 0x2E7)) {
+    const size_t n = c.symbols.size();
+    for (size_t cut = 0; cut <= c.blob.size(); ++cut) {
+      const Bytes prefix(c.blob.begin(),
+                         c.blob.begin() + static_cast<std::ptrdiff_t>(cut));
+      SCOPED_TRACE("table cut " + std::to_string(cut));
+      expect_parse_decode_identical(BytesView(prefix), BytesView(c.bits), n,
+                                    tally);
+    }
+    for (size_t cut = 0; cut <= c.bits.size(); ++cut) {
+      if (cut % 7 != 0 && cut + 80 < c.bits.size()) continue;
+      const Bytes prefix(c.bits.begin(),
+                         c.bits.begin() + static_cast<std::ptrdiff_t>(cut));
+      SCOPED_TRACE("stream cut " + std::to_string(cut));
+      expect_parse_decode_identical(BytesView(c.blob), BytesView(prefix), n,
+                                    tally);
+      expect_parse_decode_identical(BytesView(c.blob), BytesView(prefix),
+                                    n + 1, tally);
+    }
+  }
+  EXPECT_GT(tally.compared, 3000u);
+}
+
+// Seeded one- to three-bit flips, mostly in the stream (a flipped
+// codeword shifts every later one, onto other codewords, into holes and
+// past the end) and sometimes in the table, under counts around the
+// guards.
+TEST(EntropyIdentity, HuffmanSecondLevelSeededBitFlips) {
+  std::mt19937_64 rng(0x5EC0F);
+  ParseTally tally;
+  for (const HuffmanCase& c :
+       second_level_cases(huffman::kProbeDecodeMinSymbols + 100, 0x5EC)) {
+    const std::vector<size_t> counts = guard_counts(c.symbols.size());
+    for (int trial = 0; trial < 200; ++trial) {
+      Bytes blob = c.blob;
+      Bytes bits = c.bits;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int f = 0; f < flips; ++f) {
+        Bytes& target = rng() % 4 == 0 ? blob : bits;
+        target[rng() % target.size()] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      }
+      const size_t count = counts[rng() % counts.size()];
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_parse_decode_identical(BytesView(blob), BytesView(bits), count,
+                                    tally);
+    }
+  }
+  EXPECT_GT(tally.compared, 2000u);
+}
+
+// Each table over its own stream, random bytes and all-one bytes (which
+// run into the hole at the end of an incomplete code), under every guard
+// count: the same symbols, or the same error from the same call.
+TEST(EntropyIdentity, HuffmanSecondLevelGuardCounts) {
+  std::mt19937_64 rng(0x6A2D);
+  ParseTally tally;
+  for (const HuffmanCase& c : second_level_cases(3000, 0x6A2)) {
+    const Bytes noise = random_bytes(c.bits.size(), rng());
+    const Bytes ones(c.bits.size(), 0xFF);
+    for (const size_t count : guard_counts(c.symbols.size())) {
+      SCOPED_TRACE("count " + std::to_string(count));
+      for (const Bytes* bits : {&c.bits, &noise, &ones}) {
+        expect_parse_decode_identical(BytesView(c.blob), BytesView(*bits),
+                                      count, tally);
+      }
+    }
+  }
+  EXPECT_EQ(tally.bounded, 0u);
 }
 
 // Random get sequences of 0 to 64 bits that run past the end: each get

@@ -10,7 +10,8 @@
 //   * bulk ECB/CBC/CTR differentials against a scalar-pinned cipher,
 //   * the golden container SHA-256 pins re-asserted per level,
 //   * huffman::decode vs decode_tree_walk on streams past the probe
-//     threshold, including error-path message equality,
+//     threshold, including error-path message equality, and on codes
+//     whose long codewords take the second-level tables or the walk,
 //   * SZ row kernels (predict/quantize/dequantize, f32+f64, NaN/Inf
 //     lanes) per level against scalar,
 //   * a sampled-config campaign proving scalar and auto dispatch emit
@@ -33,6 +34,7 @@
 #include "crypto/sha256.h"
 #include "huffman/huffman.h"
 #include "sz/kernels.h"
+#include "testing/code_shapes.h"
 #include "testing/generator.h"
 #include "testing/rng.h"
 
@@ -319,18 +321,22 @@ TEST(KernelDispatch, HuffmanProbeDecodeMatchesTreeWalk) {
   }
 }
 
-std::string decode_error(const huffman::CodeTable& t, BytesView bits,
-                         size_t count, bool fast) {
+// What a decode gave: its symbols, or its CorruptError message.
+struct Decoded {
+  std::vector<uint32_t> symbols;
+  std::string error;
+  bool operator==(const Decoded&) const = default;
+};
+
+Decoded decoded(const huffman::CodeTable& t, BytesView bits, size_t count,
+                bool fast) {
   try {
-    if (fast) {
-      huffman::decode(t, bits, count);
-    } else {
-      huffman::decode_tree_walk(t, bits, count);
-    }
+    return {fast ? huffman::decode(t, bits, count)
+                 : huffman::decode_tree_walk(t, bits, count),
+            ""};
   } catch (const CorruptError& e) {
-    return e.what();
+    return {{}, e.what()};
   }
-  return "<no error>";
 }
 
 TEST(KernelDispatch, HuffmanErrorPathsMatchTreeWalk) {
@@ -343,13 +349,13 @@ TEST(KernelDispatch, HuffmanErrorPathsMatchTreeWalk) {
   // Exhaustion mid-stream: n two-bit symbols encoded, n + 1 requested.
   std::vector<uint32_t> syms(n, 1);
   Bytes bits = huffman::encode(t, syms);
-  EXPECT_EQ(decode_error(t, BytesView(bits), n + 1, true),
-            decode_error(t, BytesView(bits), n + 1, false));
-  EXPECT_NE(decode_error(t, BytesView(bits), n + 1, true), "<no error>");
+  const Decoded short_stream = decoded(t, BytesView(bits), n + 1, true);
+  EXPECT_EQ(short_stream, decoded(t, BytesView(bits), n + 1, false));
+  EXPECT_FALSE(short_stream.error.empty());
 
   // Count beyond bitstream capacity: rejected before any decode.
-  EXPECT_EQ(decode_error(t, BytesView(bits), bits.size() * 8 + 1, true),
-            decode_error(t, BytesView(bits), bits.size() * 8 + 1, false));
+  EXPECT_EQ(decoded(t, BytesView(bits), bits.size() * 8 + 1, true),
+            decoded(t, BytesView(bits), bits.size() * 8 + 1, false));
 
   // Dead branch: a single-symbol table admits only 0-bits; a run of
   // 1-bits extends past kMaxCodeLength in both decoders.
@@ -359,9 +365,88 @@ TEST(KernelDispatch, HuffmanErrorPathsMatchTreeWalk) {
   Bytes zbits = huffman::encode(one, zeros);
   for (int i = 0; i < 5; ++i) zbits.push_back(0xFF);
   const size_t ask = n + 33;  // reaches the 1-bits, within bit capacity
-  const std::string fast_err = decode_error(one, BytesView(zbits), ask, true);
-  EXPECT_EQ(fast_err, decode_error(one, BytesView(zbits), ask, false));
-  EXPECT_NE(fast_err.find("dead branch"), std::string::npos) << fast_err;
+  const Decoded dead = decoded(one, BytesView(zbits), ask, true);
+  EXPECT_EQ(dead, decoded(one, BytesView(zbits), ask, false));
+  EXPECT_NE(dead.error.find("dead branch"), std::string::npos) << dead.error;
+}
+
+// Second-level tables: codes whose longest codewords are 11, 12, 18, 19
+// and 32 bits, complete or with holes at the root and inside a
+// second-level table (src/testing/code_shapes.h), over their own streams,
+// every truncation of the last 64 bytes, random bytes and all-one bytes,
+// under counts at and around kProbeDecodeMinSymbols and the fast loop's
+// exit: decode() must give decode_tree_walk's symbols or error.
+TEST(KernelDispatch, HuffmanSecondLevelMatchesTreeWalk) {
+  std::mt19937_64 rng(0x2E7E1);
+  const size_t min = huffman::kProbeDecodeMinSymbols;
+  size_t compared = 0, failed = 0;
+  for (const testing::CodeShape& shape : testing::second_level_shapes()) {
+    const huffman::CodeTable t =
+        huffman::CodeTable::from_lengths(testing::shape_lengths(shape, rng));
+    const size_t n = 2000;
+    std::vector<uint32_t> syms(n);
+    for (auto& s : syms) s = t.symbols[rng() % t.used_symbols()];
+    const Bytes bits = huffman::encode(t, syms);
+    std::vector<Bytes> streams = {bits, Bytes(bits.size(), 0xFF),
+                                  Bytes(bits.size())};
+    for (auto& b : streams[2]) b = static_cast<uint8_t>(rng());
+    for (size_t cut = bits.size() - 64; cut < bits.size(); ++cut) {
+      streams.emplace_back(bits.begin(),
+                           bits.begin() + static_cast<std::ptrdiff_t>(cut));
+    }
+    for (const Bytes& b : streams) {
+      for (const size_t count : {min - 1, min, min + 1, min + 8, min + 9,
+                                 min + 10, n - 9, n - 1, n, n + 1}) {
+        const Decoded fast = decoded(t, BytesView(b), count, true);
+        ASSERT_EQ(fast, decoded(t, BytesView(b), count, false))
+            << "longest " << shape.longest << " prefixes " << shape.prefixes
+            << " hole " << shape.hole << ", " << b.size()
+            << "-byte stream, count " << count << ": " << fast.error;
+        ++compared;
+        if (!fast.error.empty()) ++failed;
+      }
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(failed, compared / 4);
+  EXPECT_GT(compared - failed, compared / 4);
+}
+
+// A CodeTable assembled by hand, past from_lengths' Kraft check, whose
+// codewords oversubscribe the code space: at the root (three 1-bit
+// codewords; five 2-bit ones) and among the codewords that take
+// second-level tables (a 1-bit codeword and 2^12 12-bit ones).  Decode
+// tables built from such lengths would index past their storage, so
+// decode() must take the walk; over zero, one and random bits it must
+// give decode_tree_walk's symbols or error.
+TEST(KernelDispatch, HuffmanKraftViolatingTableMatchesTreeWalk) {
+  std::mt19937_64 rng(0x3A7F);
+  std::vector<std::vector<uint8_t>> shapes = {{1, 1, 1}, {2, 2, 2, 2, 2}};
+  shapes.emplace_back(size_t{1} << 12, uint8_t{12});
+  shapes.back().insert(shapes.back().begin(), uint8_t{1});
+  const size_t min = huffman::kProbeDecodeMinSymbols;
+  for (const std::vector<uint8_t>& lengths : shapes) {
+    huffman::CodeTable t;
+    t.alphabet = lengths.size();
+    t.lengths = lengths;
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      t.symbols.push_back(static_cast<uint32_t>(s));
+    }
+    std::vector<Bytes> streams = {Bytes(4096), Bytes(4096, 0xFF),
+                                  Bytes(4096)};
+    for (auto& b : streams[2]) b = static_cast<uint8_t>(rng());
+    for (const Bytes& b : streams) {
+      for (const size_t count : {min, min + 1, 4 * min}) {
+        const Decoded fast = decoded(t, BytesView(b), count, true);
+        ASSERT_EQ(fast, decoded(t, BytesView(b), count, false))
+            << lengths.size() << " codewords, first stream byte "
+            << int{b[0]} << ", count " << count << ": " << fast.error;
+      }
+    }
+    // All-zero bits are the first codeword repeated: a clean decode.
+    EXPECT_EQ(decoded(t, BytesView(streams[0]), min, true).symbols,
+              std::vector<uint32_t>(min, 0));
+  }
 }
 
 // ---------------------------------------------------------------------
