@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "archive/chunked.h"
 #include "common/bufpool.h"
@@ -54,6 +55,17 @@ constexpr sz::DType dtype_of() {
 /// The decoded elements of `r` as raw bytes.
 BytesView element_bytes(const core::DecompressResult& r);
 
+/// Why a chunk container of dims `chunk` and element type `chunk_dtype`
+/// (from its header) cannot fill a frame of `row_extent` rows in a field
+/// of `field_dims` (when known) and element type `dtype` (when known);
+/// empty when it can.  The one set of chunk header checks: the strict
+/// decoder, the salvager, the seekable reader and verify_archive all
+/// call it.
+std::string header_mismatch(const Dims& chunk, sz::DType chunk_dtype,
+                            uint64_t row_extent,
+                            const std::optional<Dims>& field_dims,
+                            std::optional<sz::DType> dtype);
+
 /// The one v3 prelude parser.  Parses the prelude at the front of
 /// `prefix`; nullopt when the prefix ends inside it, with `*need` set to
 /// a lower bound on the missing bytes (never more than the rest of a
@@ -72,6 +84,19 @@ struct WorkerState {
 
 std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
                                                              BytesView key);
+
+/// Decodes one chunk container of a frame claiming `row_extent` rows on
+/// worker `w`: header_mismatch against what is known of the field, then
+/// the codec (into opts' span when one is set).  The one chunk decode of
+/// the strict decoder, the salvager and SeekableReader.  Failures come
+/// back as the reason, a wrong key or MAC failure included; `crypto`,
+/// when given, is set for those.
+std::string decode_chunk(BytesView container, uint64_t row_extent,
+                         const std::optional<Dims>& field_dims,
+                         std::optional<sz::DType> dtype, WorkerState& w,
+                         core::codec::DecodeOptions opts,
+                         core::DecompressResult& out,
+                         bool* crypto = nullptr);
 
 /// The push interface shared by the three machines.
 class ChunkMachine {
@@ -213,16 +238,72 @@ class ChunkedDecoder final : public ChunkMachine {
   parallel::ParallelChunkScheduler<Decoded> sched_;  // last: joins first
 };
 
-/// v3 salvager: single-pass, bounded-memory recovery of a damaged
-/// archive (see salvage_chunked_stream for the recovery rules).  Scans
-/// for CRC-valid frames in a sliding window that holds at most one frame
-/// plus scan slack, decodes each on the caller, and writes recovered
-/// rows in stream order with gaps filled per opts.fill (kMean is
-/// rejected: it is unknowable until the pass ends).  Wants input until
-/// finish(); never throws on corrupt input.
+/// Where ChunkedSalvager commits recovered rows: whole decoded chunks,
+/// in the salvager's scan order, each either taken or refused with a
+/// reason (the chunk is then reported corrupt).
+class RowSink {
+ public:
+  virtual ~RowSink() = default;
+
+  /// The element type the sink requires, if any; chunks of another
+  /// type are refused before they are decoded.
+  virtual std::optional<sz::DType> dtype() const { return std::nullopt; }
+  /// Offers `chunk`'s rows, starting at row `row_start` of a field of at
+  /// least `field_rows` rows of `plane` elements.  Empty when taken,
+  /// else why not.
+  virtual std::string put(uint64_t row_start, core::DecompressResult&& chunk,
+                          uint64_t field_rows, size_t plane) = 0;
+  /// Ends the field at `rows` rows of `plane` elements; rows no chunk
+  /// filled get the fallback fill.
+  virtual void finish(uint64_t rows, size_t plane) = 0;
+  /// Writes one bounded block of pending output; false when none is
+  /// pending.
+  virtual bool step() { return false; }
+};
+
+/// The stream sink: recovered rows go to a ByteSink in row order, each
+/// gap before a chunk and after the last one filled with zeros or NaN as
+/// it is reached.  A chunk whose rows precede rows already written is
+/// refused, and kMean is rejected with Error (the mean of the recovered
+/// rows is known only after the last of them was written).  Until a
+/// chunk arrives the element type is unknown, so a salvage that
+/// recovers nothing writes nothing.
+class StreamRowSink final : public RowSink {
+ public:
+  StreamRowSink(ByteSink& out, FallbackFill fill);
+
+  std::string put(uint64_t row_start, core::DecompressResult&& chunk,
+                  uint64_t field_rows, size_t plane) override;
+  void finish(uint64_t rows, size_t plane) override;
+  bool step() override;
+
+ private:
+  ByteSink& out_;
+  bool nan_;
+  uint64_t rows_done_ = 0;  ///< rows written or queued
+  uint64_t fill_rows_ = 0;  ///< fill rows still to write
+  size_t row_bytes_ = 0;
+  core::DecompressResult fill_;  ///< whole rows of fill values
+  std::optional<core::DecompressResult> chunk_;  ///< rows still to write
+  bool flush_ = false;
+};
+
+/// v3 salvager: the one implementation of best-effort recovery, behind
+/// both decompress_salvage (an in-memory field sink) and
+/// salvage_chunked_stream (a StreamRowSink).  One forward pass scans for
+/// CRC-valid frames in a sliding window that holds at most one frame
+/// plus scan slack; with an intact index it also checks what sits at
+/// each entry's own offset.  The first CRC-valid frame of each chunk id
+/// claims it; claimed frames decode on a ParallelChunkScheduler
+/// (opts.threads workers) and commit to the row sink in scan order.  At
+/// the end the sink fills the rows no chunk recovered and the report is
+/// sealed (see chunked.h for the rules).  `frame_region_end`, when the
+/// driver knows it, is where the frames end and the seek footer begins.
+/// Wants input until finish(); never throws on corrupt input.
 class ChunkedSalvager final : public ChunkMachine {
  public:
-  ChunkedSalvager(ByteSink& out, BytesView key, const SalvageOptions& opts);
+  ChunkedSalvager(RowSink& rows, BytesView key, const SalvageOptions& opts,
+                  std::optional<uint64_t> frame_region_end = std::nullopt);
 
   std::span<uint8_t> want() override;
   void filled(size_t n) override;
@@ -234,14 +315,21 @@ class ChunkedSalvager final : public ChunkMachine {
   const ChunkedStreamSalvageResult& result() const { return result_; }
 
  private:
-  enum class Phase : uint8_t { kPrelude, kScan, kTail, kDone };
-  enum class Scan : uint8_t { kFrame, kNeedInput, kExhausted };
+  enum class Phase : uint8_t { kPrelude, kScan, kCommit, kTail, kDone };
   enum class Avail : uint8_t { kYes, kNo, kSuspend };
-  struct Placed {
-    ChunkStatus status;
+  /// The first CRC-valid frame found for a chunk id.
+  struct Claim {
+    uint64_t offset;
     uint64_t row_start;
     uint64_t row_extent;
     uint64_t frame_len;
+    bool recovered = false;
+    std::string error = {};  ///< why it was not recovered
+  };
+  struct Decoded {
+    uint64_t id = 0;
+    std::string error;  ///< decode failure, empty on success
+    core::DecompressResult r;
   };
 
   uint64_t end() const { return start_ + have_; }
@@ -250,14 +338,16 @@ class ChunkedSalvager final : public ChunkMachine {
   Avail avail(uint64_t abs_end);
   void try_prelude();
   void begin_scan(std::optional<ChunkIndex> index);
-  Scan scan();
-  bool emit_pending();
-  void seal_report();
+  /// One scan step: true after claiming a frame or reaching the end,
+  /// false when it needs input.
+  bool scan();
+  void submit(uint64_t id, BytesView container);
+  void commit(Decoded&& d);
+  void seal();
 
-  ByteSink& out_;
-  FallbackFill fill_;
-  core::codec::RuntimeCache runtimes_;
-  BufferPool scratch_;
+  RowSink& rows_;
+  std::optional<sz::DType> dtype_;  ///< required by the sink, or learned
+  uint64_t region_end_;
   Phase phase_ = Phase::kPrelude;
   bool eof_ = false;
   /// Window over the input: bytes [start_, start_ + have_) are held in
@@ -270,17 +360,15 @@ class ChunkedSalvager final : public ChunkMachine {
   std::optional<ChunkIndex> index_;
   std::optional<Dims> field_dims_;
   size_t plane_ = 0;
-  size_t elem_size_ = 0;
-  bool have_dtype_ = false;
-  std::map<uint64_t, Placed> placed_;
-  std::map<uint64_t, std::string> failure_;
-  uint64_t rows_done_ = 0;
+  size_t check_ = 0;  ///< next index entry whose offset is unchecked
+  std::vector<uint8_t> damaged_at_;  ///< per entry: damage at its offset
+  std::map<uint64_t, Claim> claims_;
+  uint64_t max_row_end_ = 0;
   uint64_t frame_bytes_recovered_ = 0;
-  uint64_t fill_rows_ = 0;  ///< fill rows still to write
-  Bytes fill_block_;        ///< whole rows of fill values
-  core::DecompressResult chunk_;  ///< decoded rows still to write
-  bool chunk_pending_ = false;
   ChunkedStreamSalvageResult result_;
+  BufferPool frame_pool_;
+  std::vector<std::unique_ptr<WorkerState>> workers_;
+  parallel::ParallelChunkScheduler<Decoded> sched_;  // last: joins first
 };
 
 }  // namespace szsec::archive

@@ -80,23 +80,6 @@ Dims dims_from_extents(const size_t* extents, size_t rank) {
   }
 }
 
-/// Why a chunk container with header `h` cannot fill a frame of
-/// `row_extent` rows in a field of `field_dims` (when known) and element
-/// type `dtype` (when known); empty when it can.
-std::string header_mismatch(const core::Header& h, uint64_t row_extent,
-                            const std::optional<Dims>& field_dims,
-                            std::optional<sz::DType> dtype) {
-  if (h.dims[0] != row_extent) return "container rows != frame rows";
-  if (field_dims) {
-    if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
-    for (size_t i = 1; i < h.dims.rank(); ++i) {
-      if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
-    }
-  }
-  if (dtype && h.dtype != *dtype) return "container dtype mismatch";
-  return {};
-}
-
 /// The cached runtime for the scheme and cipher a chunk header claims.
 const CodecRuntime& runtime_for(RuntimeCache& runtimes,
                                 const core::Header& h) {
@@ -139,47 +122,6 @@ std::optional<FrameHead> parse_frame_head(BytesView v) {
     return h;
   } catch (const Error&) {
     return std::nullopt;
-  }
-}
-
-/// Decodes one chunk container through the shared codec path and
-/// validates it against the frame's row claim (and the field's plane
-/// dims when already known).  When `into` is non-empty the chunk is
-/// reconstructed directly into it; otherwise `own` is resized and
-/// filled.  Returns the failure reason, or empty on success.
-template <typename T>
-std::string try_decode_chunk(const FrameInfo& f, RuntimeCache& runtimes,
-                             BufferPool* pool,
-                             const std::optional<Dims>& field_dims,
-                             std::span<T> into, std::vector<T>* own,
-                             Dims& chunk_dims,
-                             PipelineMetrics* times = nullptr) {
-  try {
-    const core::Header h = core::peek_header(f.container);
-    std::string err =
-        header_mismatch(h, f.row_extent, field_dims, dtype_of<T>());
-    if (!err.empty()) return err;
-    const CodecRuntime& runtime = runtime_for(runtimes, h);
-    std::span<T> dst = into;
-    if (dst.empty()) {
-      own->resize(h.dims.count());
-      dst = std::span<T>(*own);
-    }
-    if (dst.size() != h.dims.count()) return "decoded size mismatch";
-    core::codec::DecodeOptions opts;
-    opts.pool = pool;
-    if constexpr (std::is_same_v<T, float>) {
-      opts.into_f32 = dst;
-    } else {
-      opts.into_f64 = dst;
-    }
-    const core::DecompressResult r =
-        core::codec::decode_payload(runtime.config(), f.container, opts);
-    if (times != nullptr) times->merge(r.times);
-    chunk_dims = h.dims;
-    return {};
-  } catch (const Error& e) {
-    return e.what();
   }
 }
 
@@ -301,6 +243,48 @@ BytesView element_bytes(const core::DecompressResult& r) {
                          r.f32.size() * sizeof(float))
              : BytesView(reinterpret_cast<const uint8_t*>(r.f64.data()),
                          r.f64.size() * sizeof(double));
+}
+
+std::string header_mismatch(const Dims& chunk, sz::DType chunk_dtype,
+                            uint64_t row_extent,
+                            const std::optional<Dims>& field_dims,
+                            std::optional<sz::DType> dtype) {
+  if (chunk[0] != row_extent) return "container rows != frame rows";
+  if (field_dims) {
+    if (chunk.rank() != field_dims->rank()) return "rank mismatch";
+    for (size_t i = 1; i < chunk.rank(); ++i) {
+      if (chunk[i] != (*field_dims)[i]) return "plane dims mismatch";
+    }
+  }
+  if (dtype && chunk_dtype != *dtype) return "container dtype mismatch";
+  return {};
+}
+
+std::string decode_chunk(BytesView container, uint64_t row_extent,
+                         const std::optional<Dims>& field_dims,
+                         std::optional<sz::DType> dtype, WorkerState& w,
+                         core::codec::DecodeOptions opts,
+                         core::DecompressResult& out, bool* crypto) {
+  opts.pool = &w.scratch;
+  try {
+    const core::Header h = core::peek_header(container);
+    std::string err =
+        header_mismatch(h.dims, h.dtype, row_extent, field_dims, dtype);
+    const size_t into = opts.into_f32.size() + opts.into_f64.size();
+    if (err.empty() && into != 0 && into != h.dims.count()) {
+      err = "decoded size mismatch";
+    }
+    if (err.empty()) {
+      out = core::codec::decode_payload(runtime_for(w.runtimes, h).config(),
+                                        container, opts);
+    }
+    return err;
+  } catch (const CryptoError& ex) {
+    if (crypto != nullptr) *crypto = true;
+    return ex.what();
+  } catch (const Error& ex) {
+    return ex.what();
+  }
 }
 
 std::optional<ChunkIndex> parse_prelude(BytesView prefix, size_t* need) {
@@ -507,28 +491,6 @@ SeekTable read_seek_table(BytesView archive) {
     }
   }
   return seek_table_from_index(read_chunk_index(archive));
-}
-
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<float> into, Dims& chunk_dims,
-                               PipelineMetrics* times) {
-  if (into.empty()) return "empty destination span";
-  return try_decode_chunk<float>(frame, runtimes, pool, field_dims, into,
-                                 nullptr, chunk_dims, times);
-}
-
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<double> into, Dims& chunk_dims,
-                               PipelineMetrics* times) {
-  if (into.empty()) return "empty destination span";
-  return try_decode_chunk<double>(frame, runtimes, pool, field_dims, into,
-                                  nullptr, chunk_dims, times);
 }
 
 // ---------------------------------------------------------------------
@@ -916,22 +878,8 @@ void ChunkedDecoder::submit_frame() {
     // Decode failures are error *values*; the commit turns them into
     // "chunk i: reason" in index order.
     Decoded d;
-    try {
-      const core::Header h = core::peek_header(f->container);
-      d.error = header_mismatch(h, f->row_extent, index_->dims, expect_);
-      if (d.error.empty()) {
-        WorkerState& w = *workers_[worker];
-        core::codec::DecodeOptions opts;
-        opts.pool = &w.scratch;
-        d.r = core::codec::decode_payload(
-            runtime_for(w.runtimes, h).config(), f->container, opts);
-      }
-    } catch (const CryptoError& ex) {
-      d.crypto = true;
-      d.error = ex.what();
-    } catch (const Error& ex) {
-      d.error = ex.what();
-    }
+    d.error = decode_chunk(f->container, f->row_extent, index_->dims,
+                           expect_, *workers_[worker], {}, d.r, &d.crypto);
     frame_pool_.release(std::move(frame));
     return d;
   });
@@ -1004,350 +952,14 @@ std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
 }
 
 // ---------------------------------------------------------------------
-// In-memory salvage
-
-namespace {
-
-/// The report of a salvage without an index: every recovered chunk was
-/// relocated, and each row gap before one is reported as a missing
-/// chunk.  `placed` maps chunk id to a value whose get(value) has
-/// row_start, row_extent and frame_len.
-template <typename Map, typename Get>
-void report_scan_only(const Map& placed, Get get, SalvageReport& rep) {
-  uint64_t next_gap_id = 0;
-  uint64_t row = 0;
-  for (const auto& [id, value] : placed) {
-    const auto& p = get(value);
-    if (p.row_start > row) {
-      rep.chunks.push_back(ChunkReport{next_gap_id, ChunkStatus::kMissing,
-                                       row, p.row_start - row, 0,
-                                       "no frame found for these rows"});
-    }
-    rep.chunks.push_back(ChunkReport{id, ChunkStatus::kRelocated,
-                                     p.row_start, p.row_extent,
-                                     p.frame_len, {}});
-    next_gap_id = id + 1;
-    row = p.row_start + p.row_extent;
-  }
-  rep.chunks_expected = rep.chunks.size();
-}
-
-template <typename T>
-std::vector<T>& salvage_field(SalvageResult& out) {
-  if constexpr (std::is_same_v<T, float>) {
-    return out.f32;
-  } else {
-    return out.f64;
-  }
-}
-
-template <typename T>
-SalvageResult salvage_impl(BytesView archive, BytesView key,
-                           const SalvageOptions& opts) {
-  SalvageResult out;
-  out.dtype = dtype_of<T>();
-  std::vector<T>& field = salvage_field<T>(out);
-  SalvageReport& rep = out.report;
-
-  std::optional<ChunkIndex> index;
-  try {
-    index = read_chunk_index(archive);
-  } catch (const Error&) {
-  }
-  rep.index_intact = index.has_value();
-
-  // A trailing seek-table footer is framing, not field data: an indexed
-  // offset landing in it means the frame is gone (truncated/dropped),
-  // not corrupt, and its bytes are not unexplained damage.  The resync
-  // scan below still covers the full archive, so a forged trailer can
-  // never hide a recoverable frame.
-  const uint64_t footer_suffix = seek_footer_suffix_bytes(archive);
-  const uint64_t frame_region_end = archive.size() - footer_suffix;
-
-  // Phase 1: locate a CRC-valid frame per chunk id.  With an intact
-  // index, first try each chunk exactly where the index says (kOk); a
-  // full resync scan then rescues chunks whose offsets no longer hold
-  // (insertion, deletion, reordering) or, without an index, finds
-  // everything we will ever know about.
-  std::map<uint64_t, FrameInfo> found;      // id -> CRC-valid frame
-  std::map<uint64_t, bool> relocated;       // id -> found via scan
-  std::map<uint64_t, std::string> failure;  // id -> latest reason
-  std::map<uint64_t, uint64_t> located_bad; // id -> damaged frame's length
-  size_t resolved_at_index = 0;
-
-  if (index) {
-    for (size_t i = 0; i < index->entries.size(); ++i) {
-      const ChunkEntry& e = index->entries[i];
-      if (e.offset >= frame_region_end) {
-        failure[i] = "frame offset past the frame region (truncated?)";
-        continue;
-      }
-      const std::optional<FrameInfo> f = parse_frame(archive, e.offset);
-      if (!f) {
-        failure[i] = "no valid frame at indexed offset";
-        located_bad[i] = e.frame_len;
-        continue;
-      }
-      if (f->chunk_id != i || f->row_start != e.row_start ||
-          f->row_extent != e.row_extent) {
-        failure[i] = "frame fields disagree with index";
-        // A CRC-valid frame here belongs to a *different* chunk (offsets
-        // shifted by deletion/insertion) — chunk i itself may be gone,
-        // so don't claim a damaged frame was located for it.
-        if (!f->crc_ok) located_bad[i] = e.frame_len;
-        continue;
-      }
-      if (!f->crc_ok) {
-        failure[i] = "chunk CRC mismatch";
-        located_bad[i] = e.frame_len;
-        continue;
-      }
-      found.emplace(i, *f);
-      relocated[i] = false;
-      ++resolved_at_index;
-    }
-  }
-
-  const bool need_scan =
-      !index || resolved_at_index < index->entries.size();
-  if (need_scan) {
-    for (size_t pos = find_marker(archive, 0); pos < archive.size();
-         pos = find_marker(archive, pos)) {
-      const std::optional<FrameInfo> f = parse_frame(archive, pos);
-      if (!f || !f->crc_ok) {
-        ++pos;  // false positive or damaged frame: keep scanning
-        continue;
-      }
-      if (index) {
-        // The CRC-protected index is authoritative: a scanned frame may
-        // only stand in for the chunk id it claims, at that id's rows.
-        const bool known = f->chunk_id < index->entries.size();
-        if (!known ||
-            index->entries[f->chunk_id].row_start != f->row_start ||
-            index->entries[f->chunk_id].row_extent != f->row_extent) {
-          pos += kMarkerSize;
-          continue;
-        }
-      }
-      if (found.emplace(f->chunk_id, *f).second) {
-        relocated[f->chunk_id] = true;
-      }
-      pos = f->offset + f->frame_len;
-    }
-  }
-
-  // Phase 2: decode every located frame; learn field dims from the index
-  // or from the first decodable chunk.
-  std::optional<Dims> field_dims;
-  if (index) field_dims = index->dims;
-
-  struct Decoded {
-    uint64_t chunk_id;
-    uint64_t row_start;
-    uint64_t row_extent;
-    size_t frame_len;
-    std::vector<T> data;
-  };
-  // Chunk decodes fan out across workers (each with its own runtime
-  // cache + scratch pool); a corrupt chunk is an error *value*, never an
-  // exception, so one bad worker result cannot abort the salvage.
-  // Commits arrive in chunk-id order, keeping the report and the
-  // first-come row-claiming below deterministic.
-  std::vector<std::pair<uint64_t, const FrameInfo*>> jobs;
-  jobs.reserve(found.size());
-  for (auto& [id, f] : found) jobs.emplace_back(id, &f);
-
-  struct SalvageDecode {
-    std::string error;
-    Dims chunk_dims;
-    std::vector<T> data;
-  };
-  std::vector<Decoded> decoded;
-  uint64_t max_row_end = 0;
-  // With an intact index the field dims are known before fan-out and
-  // every worker validates against them; scan-only recovery learns them
-  // from the first decodable chunk at commit time instead (plane checks
-  // for later chunks then happen in the commit).
-  const std::optional<Dims> produce_dims = field_dims;
-  ParallelChunkScheduler<SalvageDecode> sched(
-      ChunkSchedulerConfig{opts.threads, 0}, [&](size_t j, SalvageDecode&& d) {
-        const uint64_t id = jobs[j].first;
-        const FrameInfo& f = *jobs[j].second;
-        if (d.error.empty() && !produce_dims && field_dims) {
-          if (d.chunk_dims.rank() != field_dims->rank()) {
-            d.error = "rank mismatch";
-          } else {
-            for (size_t i = 1; i < d.chunk_dims.rank(); ++i) {
-              if (d.chunk_dims[i] != (*field_dims)[i]) {
-                d.error = "plane dims mismatch";
-              }
-            }
-          }
-        }
-        if (!d.error.empty()) {
-          failure[id] = d.error;
-          return;
-        }
-        if (!field_dims) {
-          // Scan-only recovery: plane dims come from the chunk itself;
-          // the slowest extent is completed below from row coverage.
-          field_dims = d.chunk_dims;
-        }
-        max_row_end = std::max(max_row_end, f.row_start + f.row_extent);
-        decoded.push_back(Decoded{id, f.row_start, f.row_extent,
-                                  f.frame_len, std::move(d.data)});
-      });
-  const auto workers = make_worker_states(sched.thread_count(), key);
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    sched.submit([&, j](size_t worker, size_t) {
-      SalvageDecode d;
-      d.error = try_decode_chunk<T>(*jobs[j].second, workers[worker]->runtimes,
-                                    &workers[worker]->scratch, produce_dims,
-                                    std::span<T>{}, &d.data, d.chunk_dims);
-      return d;
-    });
-  }
-  sched.finish();
-
-  if (!field_dims) {
-    // Nothing decodable at all: report whatever we know and bail out.
-    rep.chunks_expected = index ? index->entries.size() : 0;
-    rep.bytes_skipped = archive.size();
-    if (index) {
-      rep.elements_total = index->dims.count();
-      for (size_t i = 0; i < index->entries.size(); ++i) {
-        const ChunkEntry& e = index->entries[i];
-        const bool located = found.count(i) || located_bad.count(i);
-        rep.chunks.push_back(ChunkReport{
-            i, located ? ChunkStatus::kCorrupt : ChunkStatus::kMissing,
-            e.row_start, e.row_extent,
-            found.count(i) ? found[i].frame_len
-                           : (located_bad.count(i) ? located_bad[i] : 0),
-            failure.count(i) ? failure[i] : "undecodable"});
-      }
-      out.dims = index->dims;
-      field.assign(out.dims.count(),
-                   opts.fill == FallbackFill::kNaN
-                       ? std::numeric_limits<T>::quiet_NaN()
-                       : T{0});
-    }
-    return out;
-  }
-
-  const uint64_t total_rows = index ? index->dims[0] : max_row_end;
-  out.dims = parallel::slab_dims(*field_dims,
-                                 static_cast<size_t>(total_rows));
-  const size_t plane = out.dims.count() / out.dims[0];
-  rep.elements_total = out.dims.count();
-
-  // Phase 3: assemble.  Rows are claimed first-come (decoded is in
-  // chunk-id order), so a duplicated or adversarially overlapping frame
-  // cannot overwrite data a legitimate chunk already recovered.
-  std::vector<uint8_t> row_claimed(out.dims[0], 0);
-  field.assign(out.dims.count(), T{0});
-  double mean_acc = 0;
-  uint64_t mean_n = 0;
-  uint64_t frame_bytes_recovered = 0;
-  std::map<uint64_t, Decoded*> placed;
-  for (Decoded& d : decoded) {
-    if (d.row_start + d.row_extent > out.dims[0]) {
-      failure[d.chunk_id] = "rows outside the field";
-      continue;
-    }
-    bool overlap = false;
-    for (uint64_t rw = d.row_start; rw < d.row_start + d.row_extent; ++rw) {
-      if (row_claimed[rw]) overlap = true;
-    }
-    if (overlap) {
-      failure[d.chunk_id] = "rows overlap an already-recovered chunk";
-      continue;
-    }
-    for (uint64_t rw = d.row_start; rw < d.row_start + d.row_extent; ++rw) {
-      row_claimed[rw] = 1;
-    }
-    std::copy(d.data.begin(), d.data.end(),
-              field.begin() +
-                  static_cast<std::ptrdiff_t>(d.row_start * plane));
-    for (T v : d.data) mean_acc += v;
-    mean_n += d.data.size();
-    frame_bytes_recovered += d.frame_len;
-    placed.emplace(d.chunk_id, &d);
-  }
-
-  // Fallback fill for unclaimed rows.
-  T fill = T{0};
-  if (opts.fill == FallbackFill::kNaN) {
-    fill = std::numeric_limits<T>::quiet_NaN();
-  } else if (opts.fill == FallbackFill::kMean && mean_n > 0) {
-    fill = static_cast<T>(mean_acc / static_cast<double>(mean_n));
-  }
-  for (size_t rw = 0; rw < out.dims[0]; ++rw) {
-    if (row_claimed[rw]) continue;
-    std::fill_n(field.begin() + static_cast<std::ptrdiff_t>(rw * plane),
-                plane, fill);
-  }
-
-  // Phase 4: the report, one entry per expected chunk in id order.  With
-  // no index the expectation is reconstructed from the recovered frames:
-  // row gaps between them are attributed to missing ids.
-  rep.elements_recovered = mean_n;
-  rep.chunks_recovered = placed.size();
-  if (index) {
-    rep.chunks_expected = index->entries.size();
-    for (size_t i = 0; i < index->entries.size(); ++i) {
-      const ChunkEntry& e = index->entries[i];
-      ChunkReport cr;
-      cr.chunk_id = i;
-      cr.row_start = e.row_start;
-      cr.row_extent = e.row_extent;
-      if (auto it = placed.find(i); it != placed.end()) {
-        cr.status = relocated[i] ? ChunkStatus::kRelocated : ChunkStatus::kOk;
-        cr.frame_bytes = it->second->frame_len;
-      } else if (found.count(i) || located_bad.count(i)) {
-        cr.status = ChunkStatus::kCorrupt;
-        cr.detail = failure.count(i) ? failure[i] : "undecodable";
-        cr.frame_bytes = found.count(i) ? found[i].frame_len : located_bad[i];
-      } else {
-        cr.status = ChunkStatus::kMissing;
-        cr.detail = failure.count(i) ? failure[i] : "no frame found";
-      }
-      rep.chunks.push_back(std::move(cr));
-    }
-    const uint64_t accounted =
-        frame_bytes_recovered + index->body_start + footer_suffix;
-    rep.bytes_skipped =
-        archive.size() > accounted ? archive.size() - accounted : 0;
-  } else {
-    report_scan_only(
-        placed, [](const Decoded* d) -> const Decoded& { return *d; }, rep);
-    const uint64_t accounted = frame_bytes_recovered + footer_suffix;
-    rep.bytes_skipped =
-        archive.size() > accounted ? archive.size() - accounted : 0;
-  }
-  return out;
-}
-
-}  // namespace
-
-SalvageResult decompress_salvage(BytesView archive, BytesView key,
-                                 const SalvageOptions& opts) {
-  return salvage_impl<float>(archive, key, opts);
-}
-
-SalvageResult decompress_salvage_f64(BytesView archive, BytesView key,
-                                     const SalvageOptions& opts) {
-  return salvage_impl<double>(archive, key, opts);
-}
-
-
-// ---------------------------------------------------------------------
-// Streaming salvager
+// Salvager and its row sinks
 
 namespace {
 
 /// A scanned frame claiming a container longer than this is treated as
 /// a marker false-positive — the window (and therefore RSS) never grows
-/// past one such cap during salvage.
+/// past one such cap during salvage.  A frame whose head agrees with its
+/// intact index entry is read at the index's length instead.
 constexpr uint64_t kMaxStreamContainer = uint64_t{1} << 31;
 /// The prelude parse stops growing the window here; a (legitimate)
 /// index larger than this degrades to scan-only recovery.
@@ -1357,18 +969,132 @@ constexpr size_t kScanBlock = size_t{256} << 10;
 /// Fill rows go out in blocks of about this many bytes.
 constexpr size_t kFillBlock = size_t{1} << 20;
 
+/// The in-memory field sink: rows land at their row offset in any
+/// order, and rows that overlap rows already placed are refused (first
+/// come, first kept).  finish() takes the mean of the placed rows in row
+/// order, when the fill asks for it, before filling the rest.
+template <typename T>
+class FieldRowSink final : public RowSink {
+ public:
+  explicit FieldRowSink(FallbackFill fill) : fill_(fill) {}
+
+  std::optional<sz::DType> dtype() const override { return dtype_of<T>(); }
+
+  std::string put(uint64_t row_start, core::DecompressResult&& chunk,
+                  uint64_t field_rows, size_t plane) override {
+    placed_.resize(field_rows, 0);
+    field.resize(field_rows * plane);
+    const auto first = placed_.begin() + static_cast<std::ptrdiff_t>(row_start);
+    const auto last = first + static_cast<std::ptrdiff_t>(chunk.dims[0]);
+    if (std::find(first, last, 1) != last) {
+      return "rows overlap an already-recovered chunk";
+    }
+    std::fill(first, last, 1);
+    const BytesView rows = element_bytes(chunk);
+    std::memcpy(field.data() + row_start * plane, rows.data(), rows.size());
+    return {};
+  }
+
+  void finish(uint64_t rows, size_t plane) override {
+    placed_.resize(rows, 0);
+    field.resize(rows * plane);
+    T fill = fill_ == FallbackFill::kNaN ? std::numeric_limits<T>::quiet_NaN()
+                                         : T{0};
+    double sum = 0;
+    uint64_t n = 0;
+    for (uint64_t r = 0; fill_ == FallbackFill::kMean && r < rows; ++r) {
+      if (placed_[r] == 0) continue;
+      for (size_t i = 0; i < plane; ++i) sum += field[r * plane + i];
+      n += plane;
+    }
+    if (n > 0) fill = static_cast<T>(sum / static_cast<double>(n));
+    for (uint64_t r = 0; r < rows; ++r) {
+      if (placed_[r] != 0) continue;
+      std::fill_n(field.begin() + static_cast<std::ptrdiff_t>(r * plane),
+                  plane, fill);
+    }
+  }
+
+  std::vector<T> field;
+
+ private:
+  FallbackFill fill_;
+  std::vector<uint8_t> placed_;  ///< per row: a chunk filled it
+};
+
 }  // namespace
 
-ChunkedSalvager::ChunkedSalvager(ByteSink& out, BytesView key,
-                                 const SalvageOptions& opts)
-    : out_(out), fill_(opts.fill), runtimes_(key), want_(kMinPrelude) {
-  SZSEC_REQUIRE(opts.fill != FallbackFill::kMean,
-                "streaming salvage cannot compute a mean fill in one "
-                "pass; use kZeros or kNaN");
+StreamRowSink::StreamRowSink(ByteSink& out, FallbackFill fill)
+    : out_(out), nan_(fill == FallbackFill::kNaN) {
+  SZSEC_REQUIRE(fill != FallbackFill::kMean,
+                "a stream cannot carry the mean fill: it is known only "
+                "after the last recovered row; use kZeros or kNaN");
+}
+
+std::string StreamRowSink::put(uint64_t row_start,
+                               core::DecompressResult&& chunk,
+                               uint64_t field_rows, size_t plane) {
+  if (row_start < rows_done_) {
+    return "rows precede already-written rows (stream order)";
+  }
+  if (row_bytes_ == 0) {
+    // The first chunk fixes the element type: whole rows of fill values.
+    row_bytes_ = plane * sz::dtype_size(chunk.dtype);
+    const size_t n = plane * std::max<size_t>(1, std::min<uint64_t>(
+                                                     kFillBlock / row_bytes_,
+                                                     field_rows));
+    fill_.dtype = chunk.dtype;
+    if (chunk.dtype == sz::DType::kFloat32) {
+      fill_.f32.assign(n, nan_ ? std::numeric_limits<float>::quiet_NaN() : 0);
+    } else {
+      fill_.f64.assign(n, nan_ ? std::numeric_limits<double>::quiet_NaN() : 0);
+    }
+  }
+  fill_rows_ = row_start - rows_done_;
+  rows_done_ = row_start + chunk.dims[0];
+  chunk_ = std::move(chunk);
+  return {};
+}
+
+void StreamRowSink::finish(uint64_t rows, size_t) {
+  if (row_bytes_ != 0 && rows > rows_done_) fill_rows_ = rows - rows_done_;
+  flush_ = true;
+}
+
+bool StreamRowSink::step() {
+  if (fill_rows_ > 0) {
+    const BytesView block = element_bytes(fill_);
+    const uint64_t rows =
+        std::min<uint64_t>(fill_rows_, block.size() / row_bytes_);
+    out_.write(block.first(static_cast<size_t>(rows) * row_bytes_));
+    fill_rows_ -= rows;
+  } else if (chunk_) {
+    out_.write(element_bytes(*chunk_));
+    chunk_.reset();
+  } else if (flush_) {
+    out_.flush();
+    flush_ = false;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+ChunkedSalvager::ChunkedSalvager(RowSink& rows, BytesView key,
+                                 const SalvageOptions& opts,
+                                 std::optional<uint64_t> frame_region_end)
+    : rows_(rows),
+      dtype_(rows.dtype()),
+      region_end_(
+          frame_region_end.value_or(std::numeric_limits<uint64_t>::max())),
+      want_(kMinPrelude),
+      sched_(ChunkSchedulerConfig{opts.threads, 0},
+             [this](size_t, Decoded&& d) { commit(std::move(d)); }) {
+  workers_ = make_worker_states(sched_.thread_count(), key);
 }
 
 std::span<uint8_t> ChunkedSalvager::want() {
-  if (eof_ || phase_ == Phase::kTail || phase_ == Phase::kDone) return {};
+  if (eof_ || phase_ > Phase::kScan) return {};
   if (win_.size() < have_ + want_) win_.resize(have_ + want_);
   return std::span<uint8_t>(win_).subspan(have_, want_);
 }
@@ -1388,7 +1114,6 @@ void ChunkedSalvager::finish() {
 }
 
 void ChunkedSalvager::drop_before(uint64_t abs) {
-  if (abs <= start_) return;
   const size_t n = static_cast<size_t>(std::min<uint64_t>(abs - start_, have_));
   std::memmove(win_.data(), win_.data() + n, have_ - n);
   have_ -= n;
@@ -1419,6 +1144,7 @@ void ChunkedSalvager::begin_scan(std::optional<ChunkIndex> index) {
   if (index_) {
     field_dims_ = index_->dims;
     plane_ = index_->dims.count() / index_->dims[0];
+    damaged_at_.assign(index_->entries.size(), 0);
     pos_ = index_->body_start;
     drop_before(pos_);
   }
@@ -1429,243 +1155,273 @@ void ChunkedSalvager::begin_scan(std::optional<ChunkIndex> index) {
 ChunkedSalvager::Avail ChunkedSalvager::avail(uint64_t abs_end) {
   if (abs_end <= end()) return Avail::kYes;
   if (eof_) return Avail::kNo;
+  // Consumed bytes leave the window here, once per read rather than once
+  // per frame.
+  drop_before(pos_);
   want_ = static_cast<size_t>(
       std::min<uint64_t>(abs_end - end(), kMaxWantSpan));
   return Avail::kSuspend;
 }
 
 bool ChunkedSalvager::step() {
-  if (emit_pending()) return true;
+  if (rows_.step()) return true;
   switch (phase_) {
     case Phase::kScan:
-      switch (scan()) {
-        case Scan::kFrame:
-          return true;
-        case Scan::kNeedInput:
-          return false;
-        case Scan::kExhausted:
-          seal_report();
-          phase_ = Phase::kTail;
-          return true;
+      return scan();
+    case Phase::kCommit:
+      if (!sched_.commit_next()) {
+        seal();
+        phase_ = Phase::kTail;
       }
-      return false;
+      return true;
     case Phase::kTail:
-      out_.flush();
-      phase_ = Phase::kDone;
+      phase_ = Phase::kDone;  // the sink has written and flushed it all
       return true;
     default:
       return false;
   }
 }
 
-bool ChunkedSalvager::emit_pending() {
-  if (fill_rows_ > 0) {
-    const size_t row = plane_ * elem_size_;
-    const uint64_t rows =
-        std::min<uint64_t>(fill_rows_, fill_block_.size() / row);
-    out_.write(BytesView(fill_block_.data(), static_cast<size_t>(rows) * row));
-    fill_rows_ -= rows;
-    return true;
-  }
-  if (chunk_pending_) {
-    out_.write(element_bytes(chunk_));
-    chunk_ = core::DecompressResult{};
-    chunk_pending_ = false;
-    return true;
-  }
-  return false;
-}
-
-// Resumable: every exit for more input leaves pos_ at a marker (or past
-// bytes proven marker-free), so re-entering re-runs the current
-// iteration from scratch — nothing before the decode has side effects.
-ChunkedSalvager::Scan ChunkedSalvager::scan() {
+// Resumable: every exit for more input leaves pos_ at a marker or an
+// unchecked index offset (or past bytes proven marker-free), so
+// re-entering re-runs the current iteration from scratch — nothing
+// before the claim has side effects but judging an index offset, which
+// happens only once the bytes it needs are in.
+bool ChunkedSalvager::scan() {
+  const size_t entries = index_ ? index_->entries.size() : 0;
   while (true) {
-    // Hunt for the next marker, keeping only a marker-sized tail of
-    // unmatched bytes.
-    const size_t rel =
-        find_marker(view(), static_cast<size_t>(pos_ - start_));
-    if (start_ + rel >= end()) {
-      if (eof_) return Scan::kExhausted;
+    // An index offset the scan stepped over inside an accepted frame
+    // held no frame of its own.
+    while (check_ < entries && index_->entries[check_].offset < pos_) {
+      damaged_at_[check_] = index_->entries[check_].offset < region_end_;
+      ++check_;
+    }
+    // Stop at the next marker or the next index offset, whichever comes
+    // first: an offset is checked even where no marker sits, since a
+    // damaged frame there makes its chunk corrupt rather than missing.
+    const uint64_t stop = check_ < entries
+                              ? index_->entries[check_].offset
+                              : std::numeric_limits<uint64_t>::max();
+    const uint64_t at = std::min<uint64_t>(
+        stop,
+        start_ + find_marker(view(), static_cast<size_t>(pos_ - start_)));
+    if (at >= end()) {
+      if (eof_) {
+        phase_ = Phase::kCommit;
+        return true;
+      }
+      // Keep only a marker-sized tail of unmatched bytes.
       if (end() >= kMarkerSize) {
         pos_ = std::max(pos_, end() - (kMarkerSize - 1));
       }
       drop_before(pos_);
       want_ = kScanBlock;
-      return Scan::kNeedInput;
+      return false;
     }
-    pos_ = start_ + rel;
-
-    if (avail(pos_ + kFrameHeadMax) == Avail::kSuspend) {
-      return Scan::kNeedInput;
+    pos_ = at;
+    const bool at_entry = at == stop;
+    if (avail(pos_ + kFrameHeadMax) == Avail::kSuspend) return false;
+    const BytesView here = view().subspan(static_cast<size_t>(pos_ - start_));
+    if (at_entry &&
+        (pos_ >= region_end_ ||
+         (here.size() > sizeof(kSeekFooterMagic) &&
+          std::memcmp(here.data(), &kSeekFooterMagic,
+                      sizeof(kSeekFooterMagic)) == 0 &&
+          here[sizeof(kSeekFooterMagic)] == kSeekFooterVersion))) {
+      ++check_;  // the frame region ended before this offset
+      continue;
     }
-    const std::optional<FrameHead> fh =
-        parse_frame_head(view().subspan(static_cast<size_t>(pos_ - start_)));
-    if (!fh || fh->container_len > kMaxStreamContainer) {
+    // Past the cap a claimed length is a marker false-positive, unless
+    // the intact index vouches for it at this offset.
+    const std::optional<FrameHead> fh = parse_frame_head(here);
+    const uint64_t indexed_len =
+        at_entry ? index_->entries[check_].frame_len : 0;
+    if (!fh || (fh->container_len > kMaxStreamContainer &&
+                (fh->head_len > indexed_len ||
+                 fh->container_len != indexed_len - fh->head_len))) {
+      if (at_entry) damaged_at_[check_++] = 1;
       ++pos_;
       continue;
     }
-    if (index_) {
-      // The CRC-protected index is authoritative: a scanned frame may
-      // only stand in for the chunk id it claims, at that id's rows.
-      if (fh->chunk_id >= index_->entries.size() ||
-          index_->entries[fh->chunk_id].row_start != fh->row_start ||
-          index_->entries[fh->chunk_id].row_extent != fh->row_extent) {
-        pos_ += kMarkerSize;
-        continue;
-      }
+    // The CRC-protected index is authoritative: a scanned frame may only
+    // stand in for the chunk id it claims, at that id's rows.  At an
+    // index offset any frame is CRC-checked, to judge the offset.
+    const bool indexed =
+        !index_ ||
+        (fh->chunk_id < entries &&
+         index_->entries[fh->chunk_id].row_start == fh->row_start &&
+         index_->entries[fh->chunk_id].row_extent == fh->row_extent);
+    if (!indexed && !at_entry) {
+      pos_ += kMarkerSize;
+      continue;
     }
     const uint64_t frame_len = fh->head_len + fh->container_len;
-    switch (avail(pos_ + frame_len)) {
-      case Avail::kSuspend:
-        return Scan::kNeedInput;
-      case Avail::kNo:
-        ++pos_;  // stream ends inside this frame: scan what remains
-        continue;
-      case Avail::kYes:
-        break;
-    }
-    const BytesView container =
-        view().subspan(static_cast<size_t>(pos_ - start_) + fh->head_len,
-                       static_cast<size_t>(fh->container_len));
-    if (crc32(container) != fh->crc) {
-      ++pos_;  // damaged frame: keep scanning inside it
+    const Avail frame_in = avail(pos_ + frame_len);
+    if (frame_in == Avail::kSuspend) return false;
+    const bool crc_ok =
+        frame_in == Avail::kYes &&
+        crc32(here.subspan(fh->head_len,
+                           static_cast<size_t>(fh->container_len))) == fh->crc;
+    if (at_entry) damaged_at_[check_++] = !crc_ok;
+    if (!crc_ok || !indexed) {
+      pos_ += crc_ok ? kMarkerSize : 1;  // damaged: keep scanning inside it
       continue;
     }
-    if (placed_.count(fh->chunk_id) != 0) {
-      pos_ += frame_len;  // duplicate of an already-recovered chunk
-      drop_before(pos_);
-      continue;
+    // The first CRC-valid frame of a chunk id claims it; later ones
+    // (duplicates, forgeries) are skipped whole.
+    const bool fresh =
+        claims_
+            .emplace(fh->chunk_id, Claim{pos_, fh->row_start, fh->row_extent,
+                                         frame_len})
+            .second;
+    if (fresh) {
+      submit(fh->chunk_id,
+             here.subspan(fh->head_len, static_cast<size_t>(fh->container_len)));
     }
-
-    // CRC-valid frame for a new chunk: decode, then queue it for
-    // in-order emission behind the fill rows of any gap before it.
-    std::string err;
-    core::DecompressResult dr;
-    try {
-      const core::Header h = core::peek_header(container);
-      err = header_mismatch(
-          h, fh->row_extent, field_dims_,
-          have_dtype_ ? std::optional<sz::DType>(result_.dtype)
-                      : std::nullopt);
-      if (err.empty()) {
-        core::codec::DecodeOptions dopts;
-        dopts.pool = &scratch_;
-        dr = core::codec::decode_payload(
-            runtime_for(runtimes_, h).config(), container, dopts);
-      }
-    } catch (const Error& ex) {
-      err = ex.what();
-    }
-    if (err.empty() && fh->row_start < rows_done_) {
-      err = "rows precede already-emitted rows (single-pass order)";
-    }
-    if (!err.empty()) {
-      failure_[fh->chunk_id] = err;
-      pos_ += frame_len;
-      drop_before(pos_);
-      continue;
-    }
-
-    if (!have_dtype_) {
-      result_.dtype = dr.dtype;
-      elem_size_ = sz::dtype_size(dr.dtype);
-      have_dtype_ = true;
-      if (!field_dims_) {
-        // Scan-only recovery: plane dims come from the chunk itself; the
-        // slowest extent is completed from row coverage at the end.
-        field_dims_ = dr.dims;
-        plane_ = dr.dims.count() / dr.dims[0];
-      }
-      const size_t row = plane_ * elem_size_;
-      const size_t rows = std::max<size_t>(
-          1, std::min<size_t>(kFillBlock / row, (*field_dims_)[0]));
-      fill_block_.assign(rows * row, 0);
-      if (fill_ == FallbackFill::kNaN) {
-        for (size_t i = 0; i < rows * plane_; ++i) {
-          if (dr.dtype == sz::DType::kFloat32) {
-            const float v = std::numeric_limits<float>::quiet_NaN();
-            std::memcpy(fill_block_.data() + i * sizeof(v), &v, sizeof(v));
-          } else {
-            const double v = std::numeric_limits<double>::quiet_NaN();
-            std::memcpy(fill_block_.data() + i * sizeof(v), &v, sizeof(v));
-          }
-        }
-      }
-    }
-    fill_rows_ = fh->row_start - rows_done_;
-    result_.report.elements_recovered +=
-        element_bytes(dr).size() / elem_size_;
-    rows_done_ = fh->row_start + fh->row_extent;
-    frame_bytes_recovered_ += frame_len;
-    const ChunkStatus status =
-        index_ && pos_ == index_->entries[fh->chunk_id].offset
-            ? ChunkStatus::kOk
-            : ChunkStatus::kRelocated;
-    placed_.emplace(fh->chunk_id, Placed{status, fh->row_start,
-                                         fh->row_extent, frame_len});
-    chunk_ = std::move(dr);
-    chunk_pending_ = true;
     pos_ += frame_len;
-    drop_before(pos_);
-    return Scan::kFrame;
+    if (fresh) return true;
   }
 }
 
-void ChunkedSalvager::seal_report() {
+void ChunkedSalvager::submit(uint64_t id, BytesView container) {
+  Bytes frame = frame_pool_.acquire(container.size());
+  frame.assign(container.begin(), container.end());
+  // Dims and element type known now are checked before decoding; what
+  // is learned later is checked again at the commit.
+  sched_.submit([this, id, rows = claims_.at(id).row_extent,
+                 dims = field_dims_, dtype = dtype_,
+                 frame = std::move(frame)](size_t worker, size_t) mutable {
+    Decoded d;
+    d.id = id;
+    d.error = decode_chunk(BytesView(frame), rows, dims, dtype,
+                           *workers_[worker], {}, d.r);
+    frame_pool_.release(std::move(frame));
+    return d;
+  });
+}
+
+void ChunkedSalvager::commit(Decoded&& d) {
+  Claim& c = claims_.at(d.id);
+  c.error = std::move(d.error);
+  if (c.error.empty()) {
+    c.error = header_mismatch(d.r.dims, d.r.dtype, c.row_extent,
+                              field_dims_, dtype_);
+  }
+  if (!c.error.empty()) return;
+  if (!field_dims_) {
+    // Scan-only recovery: plane dims come from the first chunk; the
+    // slowest extent is completed from row coverage at the end.
+    field_dims_ = d.r.dims;
+    plane_ = d.r.dims.count() / d.r.dims[0];
+  }
+  dtype_ = d.r.dtype;
+  max_row_end_ = std::max(max_row_end_, c.row_start + c.row_extent);
+  const uint64_t elements = d.r.dims.count();
+  c.error = rows_.put(c.row_start, std::move(d.r),
+                      index_ ? index_->dims[0] : max_row_end_, plane_);
+  if (!c.error.empty()) return;
+  c.recovered = true;
+  result_.report.elements_recovered += elements;
+  ++result_.report.chunks_recovered;
+  frame_bytes_recovered_ += c.frame_len;
+}
+
+void ChunkedSalvager::seal() {
   SalvageReport& rep = result_.report;
+  const uint64_t total = end();
+  // Recovered frames, the intact prelude and a footer the driver located
+  // are accounted for; every other byte was skipped.
+  uint64_t accounted =
+      frame_bytes_recovered_ + (region_end_ < total ? total - region_end_ : 0);
+  uint64_t rows = max_row_end_;
   if (index_) {
-    if (have_dtype_ && rows_done_ < index_->dims[0]) {
-      fill_rows_ = index_->dims[0] - rows_done_;
-      rows_done_ = index_->dims[0];
-    }
     result_.dims = index_->dims;
-    rep.elements_total = index_->dims.count();
-    rep.chunks_expected = index_->entries.size();
+    rows = index_->dims[0];
     for (size_t i = 0; i < index_->entries.size(); ++i) {
       const ChunkEntry& e = index_->entries[i];
-      ChunkReport cr;
-      cr.chunk_id = i;
-      cr.row_start = e.row_start;
-      cr.row_extent = e.row_extent;
-      if (auto it = placed_.find(i); it != placed_.end()) {
-        cr.status = it->second.status;
-        cr.frame_bytes = it->second.frame_len;
-      } else if (failure_.count(i) != 0) {
+      const auto it = claims_.find(i);
+      const Claim* c = it != claims_.end() ? &it->second : nullptr;
+      ChunkReport cr{i, ChunkStatus::kMissing, e.row_start, e.row_extent,
+                     c != nullptr ? c->frame_len : 0, "no frame found"};
+      if (c != nullptr && c->recovered) {
+        cr.status = c->offset == e.offset ? ChunkStatus::kOk
+                                          : ChunkStatus::kRelocated;
+        cr.detail.clear();
+      } else if (c != nullptr || damaged_at_[i] != 0) {
         cr.status = ChunkStatus::kCorrupt;
-        cr.detail = failure_[i];
-      } else {
-        cr.status = ChunkStatus::kMissing;
-        cr.detail = "no frame found";
+        cr.frame_bytes = c != nullptr ? c->frame_len : e.frame_len;
+        cr.detail = c != nullptr ? c->error : "damaged frame at its offset";
       }
       rep.chunks.push_back(std::move(cr));
     }
-    // Single-pass accounting: a trailing seek-table footer cannot be
-    // recognized without look-ahead, so unlike the in-memory salvage its
-    // bytes count as skipped here — an over-, never under-estimate.
-    const uint64_t accounted = frame_bytes_recovered_ + index_->body_start;
-    rep.bytes_skipped = end() > accounted ? end() - accounted : 0;
-  } else {
-    if (field_dims_) {
-      result_.dims =
-          parallel::slab_dims(*field_dims_, static_cast<size_t>(rows_done_));
-      rep.elements_total = result_.dims.count();
+    accounted += index_->body_start;
+  } else if (field_dims_) {
+    // No index: the expectation is rebuilt from the recovered frames, and
+    // each row gap before one is reported as a missing chunk.
+    result_.dims = parallel::slab_dims(*field_dims_, static_cast<size_t>(rows));
+    uint64_t next_id = 0;
+    uint64_t row = 0;
+    for (const auto& [id, c] : claims_) {
+      if (!c.recovered) continue;
+      if (c.row_start > row) {
+        rep.chunks.push_back(ChunkReport{next_id, ChunkStatus::kMissing, row,
+                                         c.row_start - row, 0,
+                                         "no frame found for these rows"});
+      }
+      rep.chunks.push_back(ChunkReport{id, ChunkStatus::kRelocated,
+                                       c.row_start, c.row_extent,
+                                       c.frame_len, {}});
+      next_id = id + 1;
+      row = c.row_start + c.row_extent;
     }
-    report_scan_only(
-        placed_, [](const Placed& p) -> const Placed& { return p; }, rep);
-    rep.bytes_skipped =
-        end() > frame_bytes_recovered_ ? end() - frame_bytes_recovered_ : 0;
+  } else {
+    accounted = 0;  // not even the field's shape: every byte was skipped
   }
-  rep.chunks_recovered = placed_.size();
+  rep.chunks_expected = rep.chunks.size();
+  rep.elements_total = result_.dims.rank() == 0 ? 0 : result_.dims.count();
+  rep.bytes_skipped = total > accounted ? total - accounted : 0;
+  if (dtype_) result_.dtype = *dtype_;
+  rows_.finish(rows, plane_);
 }
 
 ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
                                                   ByteSink& out,
                                                   BytesView key,
                                                   const SalvageOptions& opts) {
-  ChunkedSalvager m(out, key, opts);
+  StreamRowSink rows(out, opts.fill);
+  ChunkedSalvager m(rows, key, opts);
   drive(m, in);
   return m.result();
+}
+
+namespace {
+
+template <typename T>
+SalvageResult salvage_in_memory(BytesView archive, BytesView key,
+                                const SalvageOptions& opts,
+                                std::vector<T> SalvageResult::*field) {
+  FieldRowSink<T> rows(opts.fill);
+  ChunkedSalvager m(rows, key, opts,
+                    archive.size() - seek_footer_suffix_bytes(archive));
+  m.feed(archive);
+  m.finish();
+  m.drain();
+  SalvageResult out{m.result().dims, dtype_of<T>(), {}, {},
+                    m.result().report};
+  out.*field = std::move(rows.field);
+  return out;
+}
+
+}  // namespace
+
+SalvageResult decompress_salvage(BytesView archive, BytesView key,
+                                 const SalvageOptions& opts) {
+  return salvage_in_memory(archive, key, opts, &SalvageResult::f32);
+}
+
+SalvageResult decompress_salvage_f64(BytesView archive, BytesView key,
+                                     const SalvageOptions& opts) {
+  return salvage_in_memory(archive, key, opts, &SalvageResult::f64);
 }
 
 }  // namespace szsec::archive

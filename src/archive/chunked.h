@@ -54,11 +54,12 @@
 // fallback fill is computed from the *recovered* elements, so the
 // archive leaks nothing about encrypted content beyond its size.
 //
-// One implementation: the encoder, the strict decoder and the streaming
-// salvager are push-driven machines (archive/chunk_machine.h); the
-// streaming, in-memory and sans-io entry points are thin drivers of
-// them.  The in-memory decompress_salvage is the one separate pass: it
-// recovers reordered frames and computes the mean fill.
+// One implementation: the encoder, the strict decoder and the salvager
+// are push-driven machines (archive/chunk_machine.h); the streaming,
+// in-memory and sans-io entry points are thin drivers of them.  The two
+// salvage drivers differ only in where recovered rows go: the in-memory
+// one places them by row in any order and can fill gaps with their
+// mean, the streaming one writes them in row order.
 //
 // Threading model: both directions run chunk-parallel on a
 // parallel::ParallelChunkScheduler — bounded in-flight chunks, per-worker
@@ -308,31 +309,11 @@ struct FrameInfo {
 
 /// Parses the frame whose resync marker starts at `pos`; nullopt when
 /// the bytes there do not form a plausible frame (truncated, absurd
-/// fields).  Shared by the strict decoder, the salvage scanner, and
-/// verify_archive, so "what counts as a frame" is defined exactly once.
+/// fields).  Shared by the strict decoder, SeekableReader and
+/// verify_archive, and the salvage scan reads frame heads through the
+/// same head parser, so "what counts as a frame" is defined exactly
+/// once.
 std::optional<FrameInfo> parse_frame(BytesView archive, size_t pos);
-
-/// Decodes one located frame's container into `into` (the chunk's
-/// row_extent x plane elements), validating everything the strict
-/// decoder validates: container rows versus frame rows, rank/plane
-/// against `field_dims` when provided, dtype against the span's element
-/// type.  Returns the empty string on success, else a human-readable
-/// reason (wrong key and MAC failures surface as exceptions from the
-/// codec, not as a reason string).  `chunk_dims` receives the chunk's
-/// own Dims.  Shared by the strict decoder, salvage, and
-/// SeekableReader so chunk-level validation is defined exactly once.
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<float> into, Dims& chunk_dims,
-                               PipelineMetrics* times = nullptr);
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<double> into, Dims& chunk_dims,
-                               PipelineMetrics* times = nullptr);
 
 /// What happened to one chunk during salvage.
 enum class ChunkStatus : uint8_t {
@@ -383,9 +364,10 @@ enum class FallbackFill : uint8_t {
 
 struct SalvageOptions {
   FallbackFill fill = FallbackFill::kMean;
-  /// Worker threads for the per-chunk decode phase (0 = default count).
-  /// A worker hitting a corrupt chunk reports it in the SalvageReport
-  /// and never aborts the run.
+  /// Worker threads decoding claimed chunks, in memory and streaming
+  /// alike (0 = default count).  A worker hitting a corrupt chunk
+  /// reports it in the SalvageReport and never aborts the run.  Output
+  /// and report are identical for every thread count.
   unsigned threads = 0;
 };
 
@@ -406,6 +388,31 @@ struct SalvageResult {
 /// recoverable (not even field dims) yields an empty result.  Throws
 /// Error only for caller mistakes (e.g. missing key for an encrypted
 /// chunk is reported per chunk, not thrown).
+///
+/// The recovery rules, shared with salvage_chunked_stream:
+///   * one forward scan finds CRC-valid frames behind resync markers.
+///     With an intact (CRC-verified) index a frame may only stand in
+///     for the chunk id it claims, at that id's indexed rows; without
+///     one, plane dims come from the first decoded chunk and the
+///     slowest extent from row coverage;
+///   * the first CRC-valid frame of a chunk id in archive order claims
+///     it, and later ones are skipped — so of two different valid frames
+///     that claim one id, the earlier wins.  A recovered chunk is kOk
+///     only when its frame sits at its indexed offset, else kRelocated;
+///   * with an intact index each entry's own offset is checked: an
+///     unrecovered chunk is kCorrupt when its claimed frame failed to
+///     decode or a damaged frame sat at its offset, and kMissing when
+///     nothing did — the offset held another chunk's valid frame, lay at
+///     or past the end of the input, or reached the end of the frame
+///     region (the seek footer's magic, or the end the driver knows);
+///   * rows are claimed first-come in archive order: a frame whose rows
+///     overlap rows already recovered is reported corrupt;
+///   * bytes_skipped counts the input bytes that are neither a recovered
+///     frame, the intact prelude nor, in memory, the seek footer (with
+///     nothing recovered and no index: every byte).  A claimed
+///     container longer than 2 GiB is a marker false positive unless the
+///     intact index vouches for it at its offset, and a prelude longer
+///     than 16 MiB is treated as damaged, so memory stays bounded.
 SalvageResult decompress_salvage(BytesView archive, BytesView key,
                                  const SalvageOptions& opts = {});
 
@@ -424,16 +431,19 @@ struct ChunkedStreamSalvageResult {
 };
 
 /// Single-pass, bounded-memory salvage of a damaged v3 archive arriving
-/// as a stream: scans forward for CRC-valid frames (a sliding window
-/// holds at most one frame plus scan slack), decodes each intact chunk
-/// serially, and emits recovered rows to `out` in stream order, filling
-/// row gaps with `opts.fill`.  Single-pass limits versus
-/// decompress_salvage: only the in-order subsequence of frames is
-/// recovered (a frame whose rows precede already-emitted rows is
-/// reported corrupt, never re-ordered), and FallbackFill::kMean is
-/// rejected with Error (the mean of recovered elements is unknowable
-/// until the pass ends — use kZeros or kNaN).  opts.threads is ignored;
-/// the pass is serial by construction.  Never throws on corrupt input.
+/// as a stream, by decompress_salvage's rules (the same machine): a
+/// sliding window holds at most one frame plus scan slack, claimed
+/// chunks decode on opts.threads workers within the in-flight window,
+/// and recovered rows go to `out` in row order, each gap filled with
+/// `opts.fill` as it is reached.  What a stream cannot do: a frame whose
+/// rows precede rows already written is reported corrupt, never
+/// re-ordered; FallbackFill::kMean is rejected with Error (the mean of
+/// the recovered rows is known only after the last of them was written
+/// — use kZeros or kNaN); the seek footer cannot be told from damage,
+/// so its bytes count as skipped; and with no chunk recovered the
+/// element type is unknown, so nothing is written.  Where the frames are
+/// in row order, the bytes and report otherwise equal
+/// decompress_salvage's.  Never throws on corrupt input.
 ChunkedStreamSalvageResult salvage_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const SalvageOptions& opts = {});

@@ -15,6 +15,22 @@ namespace {
 using parallel::ChunkSchedulerConfig;
 using parallel::ParallelChunkScheduler;
 
+/// Decodes a located frame's container straight into `into`, with the
+/// strict decoder's checks against the field's dims and `T`.
+template <typename T>
+std::string decode_into(const FrameInfo& f, WorkerState& w,
+                        const Dims& field_dims, std::span<T> into) {
+  core::codec::DecodeOptions opts;
+  if constexpr (std::is_same_v<T, float>) {
+    opts.into_f32 = into;
+  } else {
+    opts.into_f64 = into;
+  }
+  core::DecompressResult r;
+  return decode_chunk(f.container, f.row_extent, field_dims, dtype_of<T>(),
+                      w, opts, r);
+}
+
 /// Copies the ROI's intersection with one decoded chunk (global rows
 /// [g_lo, g_hi), already clamped to both the chunk and the ROI) from
 /// the chunk's row-major elements into the ROI-major output span.  The
@@ -232,18 +248,14 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
         const bool full = e.elem_start >= elem_lo &&
                           e.elem_start + e.elem_count <= elem_hi;
         Decoded d;
-        Dims chunk_dims;
         if (full) {
           const std::span<T> into =
               out.subspan(static_cast<size_t>(e.elem_start - elem_lo),
                           static_cast<size_t>(e.elem_count));
-          d.error = decode_chunk_frame(f, w.runtimes, &w.scratch,
-                                       table_.dims, into, chunk_dims);
+          d.error = decode_into(f, w, table_.dims, into);
         } else {
           d.partial.resize(static_cast<size_t>(e.elem_count));
-          d.error = decode_chunk_frame(f, w.runtimes, &w.scratch,
-                                       table_.dims, std::span<T>(d.partial),
-                                       chunk_dims);
+          d.error = decode_into(f, w, table_.dims, std::span<T>(d.partial));
         }
         return d;
       },
@@ -301,10 +313,7 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
         const SeekEntry& e = entries[chunk];
         std::vector<T>& buf = scratch[worker];
         buf.resize(static_cast<size_t>(e.elem_count));
-        Dims chunk_dims;
-        std::string error = decode_chunk_frame(
-            f, w.runtimes, &w.scratch, table_.dims, std::span<T>(buf),
-            chunk_dims);
+        std::string error = decode_into(f, w, table_.dims, std::span<T>(buf));
         if (error.empty()) {
           const uint64_t g_lo = std::max<uint64_t>(row_lo, e.row_start);
           const uint64_t g_hi =

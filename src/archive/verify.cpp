@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "archive/chunk_machine.h"
 #include "core/codec.h"
 #include "crypto/sha256.h"
 
@@ -36,7 +37,7 @@ MacCheck check_mac(BytesView container, const core::Header& h,
 }
 
 /// Verifies one v3 chunk against its index entry; mirrors the strict
-/// decoder's checks (ChunkedDecoder + try_decode_chunk) short
+/// decoder's checks (ChunkedDecoder + decode_chunk) short
 /// of actually decoding, so "verify clean" and "strict decode succeeds"
 /// agree on everything verify can see.
 VerifyChunk verify_v3_chunk(BytesView archive, const ChunkIndex& index,
@@ -81,24 +82,9 @@ VerifyChunk verify_v3_chunk(BytesView archive, const ChunkIndex& index,
     c.detail = ex.what();
     return c;
   }
-  if (h.dims[0] != f->row_extent) {
-    c.detail = "container rows != frame rows";
-    return c;
-  }
-  if (h.dims.rank() != index.dims.rank()) {
-    c.detail = "rank mismatch";
-    return c;
-  }
-  for (size_t k = 1; k < h.dims.rank(); ++k) {
-    if (h.dims[k] != index.dims[k]) {
-      c.detail = "plane dims mismatch";
-      return c;
-    }
-  }
-  if (dtype.has_value() && h.dtype != *dtype) {
-    c.detail = "container dtype mismatch";
-    return c;
-  }
+  c.detail =
+      header_mismatch(h.dims, h.dtype, f->row_extent, index.dims, dtype);
+  if (!c.detail.empty()) return c;
   c.mac = check_mac(f->container, h, auth_key, c.detail);
   if (c.mac == MacCheck::kFailed) return c;
   if (!dtype.has_value()) dtype = h.dtype;

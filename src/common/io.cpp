@@ -566,6 +566,10 @@ void OwnedFd::shutdown(int how) noexcept {
 
 namespace {
 
+/// Wait between accept() retries while the process is out of file
+/// descriptors.
+constexpr int kAcceptBackoffMs = 10;
+
 /// Fills a sockaddr_un for `path`, rejecting paths longer than the
 /// fixed sun_path field (a typed error beats silent truncation, which
 /// would bind/connect a different address).
@@ -654,6 +658,14 @@ OwnedFd UnixListener::accept() {
       const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
       if (fd >= 0) return OwnedFd(fd);
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors is load, not failure: the connection stays
+        // queued (and the listener readable), so back off on the wake
+        // pipe alone, then retry once handlers have closed theirs.
+        pollfd wake = {wake_read_.get(), POLLIN, 0};
+        if (::poll(&wake, 1, kAcceptBackoffMs) > 0) return OwnedFd();
+        continue;
+      }
       throw errno_error("accept on " + path_);
     }
   }

@@ -689,7 +689,9 @@ class UnixListener {
 
   /// Blocks until a client connects (returning the connected fd) or
   /// interrupt() is called (returning an invalid OwnedFd).  Throws
-  /// IoError on OS failure; EINTR is retried.
+  /// IoError on OS failure; EINTR is retried, and running out of file
+  /// descriptors (EMFILE/ENFILE) waits 10 ms, or until interrupt(),
+  /// and retries.
   OwnedFd accept();
 
   /// Wakes every current and future accept() call, making it return an

@@ -63,6 +63,7 @@ struct Context::Impl {
   /// v1/v2: the buffered field (encode) or container (decode).
   Bytes buf;
   uint64_t expected_in = 0;  ///< encoder: declared field byte count
+  std::unique_ptr<archive::StreamRowSink> salvage_rows;  ///< v3 salvage
   std::unique_ptr<archive::ChunkMachine> machine;  ///< v3 only
   archive::ChunkedEncoder* encoder = nullptr;
   archive::ChunkedDecoder* decoder = nullptr;
@@ -141,7 +142,9 @@ void Context::Impl::start_decoder() {
     archive::SalvageOptions so;
     so.fill = dec.fill;
     so.threads = dec.threads;
-    auto m = std::make_unique<archive::ChunkedSalvager>(out, dec.key, so);
+    salvage_rows = std::make_unique<archive::StreamRowSink>(out, so.fill);
+    auto m = std::make_unique<archive::ChunkedSalvager>(*salvage_rows,
+                                                        dec.key, so);
     salvager = m.get();
     machine = std::move(m);
   } else {

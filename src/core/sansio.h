@@ -127,7 +127,8 @@ struct EncoderConfig {
 struct DecoderConfig {
   /// Key for encrypted containers (empty is fine for Scheme::kNone).
   Bytes key;
-  /// Worker threads for v3 strict decode (0 = library default).
+  /// Worker threads for v3 strict and salvage decode (0 = library
+  /// default); output bytes never depend on it.
   unsigned threads = 1;
   /// Best-effort salvage decode for damaged v3 archives (see
   /// archive::salvage_chunked_stream; v1/v2 inputs always decode

@@ -81,7 +81,7 @@ void Sha256::process_block(const uint8_t block[64]) {
 void Sha256::update(BytesView data) {
   total_bytes_ += data.size();
   size_t off = 0;
-  if (buffered_ > 0) {
+  if (buffered_ > 0 && !data.empty()) {
     const size_t take = std::min(data.size(), 64 - buffered_);
     std::memcpy(buffer_.data() + buffered_, data.data(), take);
     buffered_ += take;

@@ -364,6 +364,7 @@ JobResponse ServiceDaemon::run_job(JobRequest req) {
       case JobOp::kSalvage: {
         archive::SalvageOptions opts;
         opts.fill = archive::FallbackFill::kZeros;
+        opts.threads = 1;
         MemorySource in(BytesView(req.payload));
         MemorySink out;
         const archive::ChunkedStreamSalvageResult r =

@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -44,6 +45,9 @@ const char* to_string(Status s) {
 }
 
 namespace {
+
+/// First body block read_frame allocates; later blocks double it.
+constexpr size_t kBodyBlock = size_t{1} << 20;
 
 /// Prepends the frame header to a finished body.
 Bytes frame(uint32_t magic, ByteWriter&& body) {
@@ -182,15 +186,20 @@ std::optional<Bytes> read_frame(ByteSource& in, uint32_t expected_magic,
   uint64_t cap = kMaxFrameBytes;
   if (max_body_bytes != 0 && max_body_bytes < cap) cap = max_body_bytes;
   SZSEC_CHECK_FORMAT(body_len <= cap, "frame exceeds size limit");
-  // The length is now within the cap, so sizing a buffer from it is
-  // safe.  Fixed-size block reads would also work, but a whole-body
-  // read keeps the hot path at one syscall per frame.
-  PooledBytes body(pool, static_cast<size_t>(body_len));
-  body.bytes().resize(static_cast<size_t>(body_len));
-  const size_t n =
-      read_full(in, std::span<uint8_t>(body.bytes().data(),
-                                       body.bytes().size()));
-  SZSEC_CHECK_FORMAT(n == body_len, "stream ended mid frame body");
+  // The length is trusted only as far as bytes arrive: the body grows
+  // in blocks of at least kBodyBlock, each no larger than what is
+  // already read, so a header that claims more than its peer sends
+  // costs one block, and a frame up to one block takes one read.
+  PooledBytes body(pool, static_cast<size_t>(
+                             std::min<uint64_t>(body_len, kBodyBlock)));
+  for (Bytes& b = body.bytes(); b.size() < body_len;) {
+    const size_t old = b.size();
+    b.resize(static_cast<size_t>(
+        std::min<uint64_t>(body_len, old + std::max(old, kBodyBlock))));
+    const std::span<uint8_t> block = std::span<uint8_t>(b).subspan(old);
+    SZSEC_CHECK_FORMAT(read_full(in, block) == block.size(),
+                       "stream ended mid frame body");
+  }
   return body.take();
 }
 

@@ -5,12 +5,15 @@
 // backpressure, and graceful drain.  Runs under the `tsan` ctest label:
 // every path here is exercised with the shared pool live.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +40,17 @@ std::vector<float> wave_field(size_t n) {
     f[i] = std::sin(static_cast<float>(i) * 0.05f) * 8.0f;
   }
   return f;
+}
+
+// Peak resident set size of this process (VmHWM) in KiB; 0 where
+// /proc/self/status is unavailable.
+uint64_t peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6));
+  }
+  return 0;
 }
 
 Bytes field_bytes(const std::vector<float>& f) {
@@ -217,6 +231,23 @@ TEST(ProtocolTest, OversizedFrameRejected) {
   const Bytes small = encode_request(sample_request());
   MemorySource src2{BytesView(small)};
   EXPECT_THROW(read_frame(src2, kRequestMagic, 4), CorruptError);
+}
+
+// A header is not a promise of bytes: read_frame used to size and
+// zero-fill the declared body before any of it arrived, so a 12-byte
+// header claiming 256 MiB cost 256 MiB (four stalled clients took the
+// daemon past 1 GiB).  The body now grows only with what arrives.
+TEST(ProtocolTest, DeclaredBodyIsNotAllocatedUpFront) {
+  ByteWriter w;
+  w.put_u32(kRequestMagic);
+  w.put_u64(uint64_t{256} << 20);
+  const Bytes header = w.take();
+  ASSERT_EQ(header.size(), 12u);
+  const uint64_t peak_before = peak_rss_kib();
+  MemorySource src{BytesView(header)};
+  EXPECT_THROW(read_frame(src, kRequestMagic), CorruptError);
+  EXPECT_LT(peak_rss_kib() - peak_before, uint64_t{8} * 1024)
+      << "VmHWM grew by more than 8 MiB";
 }
 
 TEST(ProtocolTest, MalformedBodiesAreCorrupt) {
@@ -519,6 +550,59 @@ TEST_F(ServiceTest, BadRequestsGetTypedAnswersAndConnectionSurvives) {
   // The connection still works after every rejection.
   EXPECT_EQ(client.ping().status, Status::kOk);
   daemon.stop();
+}
+
+// Running out of file descriptors is load, not a fatal error: accept()
+// used to throw out of the accept thread and abort the daemon.  The
+// daemon runs in a child limited to 32 descriptors, 40 idle clients
+// connect (the ones it cannot accept wait in the backlog) and hang up,
+// and the daemon then answers a ping and drains cleanly.
+TEST_F(ServiceTest, AcceptSurvivesDescriptorExhaustion) {
+  int ready[2];
+  int quit[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(quit), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(ready[0]);
+    ::close(quit[1]);
+    int code = 1;
+    const rlimit limit{32, 32};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) == 0) {
+      try {
+        ServiceDaemon daemon(config(), two_tenants());
+        daemon.start();
+        uint8_t b = 1;
+        if (::write(ready[1], &b, 1) == 1 && ::read(quit[0], &b, 1) >= 0) {
+          daemon.stop();
+          code = 0;
+        }
+      } catch (...) {
+      }
+    }
+    ::_exit(code);
+  }
+  ::close(ready[1]);
+  ::close(quit[0]);
+  uint8_t b = 0;
+  ASSERT_EQ(::read(ready[0], &b, 1), 1) << "daemon child did not start";
+  ::close(ready[0]);
+  {
+    std::vector<OwnedFd> idle;
+    for (int i = 0; i < 40; ++i) idle.push_back(connect_unix(socket_));
+  }
+  try {
+    ServiceClient client(socket_);
+    EXPECT_EQ(client.ping().status, Status::kOk);
+  } catch (const IoError& e) {
+    ADD_FAILURE() << "ping after descriptor exhaustion: " << e.what();
+  }
+  ::close(quit[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "daemon child ended with status " << status;
 }
 
 TEST_F(ServiceTest, GarbageBytesCloseTheConnectionOnly) {
