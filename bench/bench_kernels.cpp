@@ -6,7 +6,8 @@
 // kProbeDecodeMinSymbols where the table build is most of a call), and
 // the SZ predict/quantize row kernels
 // (scalar / SSE2 / AVX2) — forcing each level in-process through
-// cpu::override_features_for_testing().  The entropy encoders (Huffman
+// cpu::override_features_for_testing().  SZ stages 1+2 of a plume and a
+// Nyx-like chunk are timed against the reference's scan-order loop.  The entropy encoders (Huffman
 // encode, zlite deflate) are timed against the per-bit and per-byte
 // reference encoders they must match byte for byte
 // (src/testing/reference_coders.h), on a hard-like payload (wide
@@ -32,7 +33,9 @@
 //   * Huffman set-up (build plus table write, table parse plus decode
 //     tables) is below 3x the reference over a narrow and a wide chunk,
 //   * zlite inflate is below 1.5x the reference over both chunk payloads,
-//     or CRC-32 below 2x the reference, or
+//     or CRC-32 below 2x the reference,
+//   * predict+quantize of the plume chunk is below 1.3x the reference's
+//     scan-order loop, or
 //   * dispatch silently fell back to scalar although cpuid reports the
 //     hardware feature (catches build-system regressions that drop the
 //     -m flags or the SZSEC_HAVE_* defines).
@@ -50,6 +53,7 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -260,30 +264,42 @@ std::pair<double, double> bench_entropy_encoders(
 
 // ------------------------------------------------------------- Decoders
 
-// Predict+quantize of one ~1 MiB chunk (4 x 256 x 256 floats).  Hard: a
+// One ~1 MiB chunk (4 x 256 x 256 floats) and its parameters.  Hard: a
 // Nyx-like density (log-normal smooth noise with 25% white noise) at eb
 // 1e-2, thousands of used bins.  Easy: a sparse plume (smooth noise
 // clipped at a threshold) at eb 1e-6, mostly the zero bin.
-szsec::sz::QuantizedField chunk_quant(bool hard) {
+struct Chunk {
+  szsec::Dims dims;
+  std::vector<float> field;
+  szsec::sz::Params params;
+};
+
+Chunk make_chunk(bool hard) {
   namespace data = szsec::data;
-  const szsec::Dims dims{4, 256, 256};
+  Chunk c{szsec::Dims{4, 256, 256}, {}, {}};
   const std::vector<float> coarse =
-      data::smooth_noise(dims, hard ? 0x4E1 : 0xC10, hard ? 8 : 6);
-  const std::vector<float> fine = data::smooth_noise(dims, 0xF1E, 2);
-  const std::vector<float> white = data::white_noise(dims, 0x3417E);
-  std::vector<float> field(dims.count());
-  for (size_t i = 0; i < field.size(); ++i) {
+      data::smooth_noise(c.dims, hard ? 0x4E1 : 0xC10, hard ? 8 : 6);
+  const std::vector<float> fine = data::smooth_noise(c.dims, 0xF1E, 2);
+  const std::vector<float> white = data::white_noise(c.dims, 0x3417E);
+  c.field.resize(c.dims.count());
+  for (size_t i = 0; i < c.field.size(); ++i) {
     if (hard) {
-      field[i] = static_cast<float>(std::exp(1.8 * coarse[i] + 0.7 * fine[i]) *
-                                    (1.0 + 0.25 * white[i]));
+      c.field[i] = static_cast<float>(
+          std::exp(1.8 * coarse[i] + 0.7 * fine[i]) * (1.0 + 0.25 * white[i]));
     } else {
       const float x = coarse[i] - 0.9f;
-      field[i] = x <= 0 ? 0.0f : 1.5e-3f * x * x * (1.0f + 0.08f * fine[i]);
+      c.field[i] =
+          x <= 0 ? 0.0f : 1.5e-3f * x * x * (1.0f + 0.08f * fine[i]);
     }
   }
-  szsec::sz::Params params;
-  params.abs_error_bound = hard ? 1e-2 : 1e-6;
-  return szsec::sz::predict_quantize(field, dims, params);
+  c.params.abs_error_bound = hard ? 1e-2 : 1e-6;
+  return c;
+}
+
+// Predict+quantize of one chunk.
+szsec::sz::QuantizedField chunk_quant(bool hard) {
+  const Chunk c = make_chunk(hard);
+  return szsec::sz::predict_quantize(c.field, c.dims, c.params);
 }
 
 // What stage 4 of the codec sees for one chunk: the assembled payload
@@ -533,6 +549,70 @@ double bench_huffman_setup(std::vector<KernelResult>& out) {
   return setup.speedup();
 }
 
+// ------------------------------------------------------ SZ stages 1+2
+
+// Predict+quantize of both chunks, the reference's scan-order loop against
+// the library's plane-order Lorenzo loop with inline rounding, which must
+// give the same codes, unpredictable bytes and side info.  The plume picks
+// Lorenzo for most of its blocks, the Nyx-like chunk for a minority (it
+// prefers regression).  Returns the plume speedup.
+double bench_lorenzo(std::vector<KernelResult>& out) {
+  namespace ref = szsec::testing::reference;
+  // Enough chunks per timed call for the CPU clock to resolve.
+  constexpr size_t kReps = 8;
+  double plume = 0;
+  for (const bool hard : {false, true}) {
+    const Chunk c = make_chunk(hard);
+    const std::span<const float> field(c.field);
+    const szsec::sz::QuantizedField got =
+        szsec::sz::predict_quantize(field, c.dims, c.params);
+    const szsec::sz::QuantizedField want =
+        ref::predict_quantize(field, c.dims, c.params);
+    SZSEC_REQUIRE(got.codes == want.codes &&
+                      got.unpredictable == want.unpredictable &&
+                      got.side_info == want.side_info,
+                  "predict+quantize differs from the reference");
+    const std::string name =
+        std::string("sz-lorenzo-quantize-") + (hard ? "nyx" : "plume");
+    // The two sides alternate, each run starting with the other, so drift
+    // in the allocator's state and in the clock hits both alike.
+    const auto timed = [&](auto&& predict_quantize) {
+      CpuTimer t;
+      for (size_t r = 0; r < kReps; ++r) {
+        SZSEC_REQUIRE(predict_quantize(field, c.dims, c.params).codes.size() ==
+                          c.field.size(),
+                      "short");
+      }
+      return static_cast<double>(kReps * c.field.size() * sizeof(float)) /
+             1e6 / t.elapsed_s();
+    };
+    const auto ref_side = [](auto&&... a) {
+      return ref::predict_quantize(a...);
+    };
+    const auto lib_side = [](auto&&... a) {
+      return szsec::sz::predict_quantize(a...);
+    };
+    timed(ref_side);  // warmup
+    timed(lib_side);
+    std::vector<double> ref_rates, lib_rates;
+    for (int r = 0; r < 2 * runs(); ++r) {
+      if (r % 2 == 0) {
+        ref_rates.push_back(timed(ref_side));
+        lib_rates.push_back(timed(lib_side));
+      } else {
+        lib_rates.push_back(timed(lib_side));
+        ref_rates.push_back(timed(ref_side));
+      }
+    }
+    const double reference = median(std::move(ref_rates));
+    const double library = median(std::move(lib_rates));
+    out.push_back({name, "reference", reference});
+    out.push_back({name, "scalar", library});
+    if (!hard) plume = library / reference;
+  }
+  return plume;
+}
+
 // ------------------------------------------------------------ SZ kernels
 
 void bench_sz(uint32_t level_mask, const std::string& level,
@@ -603,6 +683,7 @@ int main(int argc, char** argv) {
   bench_huffman_decode_setup(results);
   const auto [inflate_ratio, crc_ratio] = bench_decoders(results);
   const double setup_ratio = bench_huffman_setup(results);
+  const double lorenzo_ratio = bench_lorenzo(results);
 
   // SZ row kernels at every available level.
   bench_sz(0, "scalar", results);
@@ -685,6 +766,14 @@ int main(int argc, char** argv) {
     f.name = "zlite-inflate-vs-reference";
     f.floor = 1.5;
     f.ratio = inflate_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "sz-lorenzo-plume-vs-reference";
+    f.floor = 1.3;
+    f.ratio = lorenzo_ratio;
     f.pass = f.ratio >= f.floor;
     floors.push_back(f);
   }

@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "common/cpu.h"
+#include "sz/quantizer.h"
 
 #if defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #define SZSEC_KERNELS_SSE2 1
@@ -45,7 +46,7 @@ void quantize_row_scalar(const T* values, const T* pred, size_t n, double eb,
   for (size_t i = 0; i < n; ++i) {
     const double diff = static_cast<double>(values[i]) - pred[i];
     const double scaled = diff / two_eb;
-    const double rounded = std::nearbyint(scaled);
+    const double rounded = round_half_even(scaled);
     if (std::abs(rounded) >= static_cast<double>(radius) ||
         !std::isfinite(diff)) {
       codes[i] = 0;

@@ -12,10 +12,12 @@
 // container pins and tests/kernel_dispatch_test.cpp).
 //
 // Only element-wise stages are vectorized.  The Lorenzo predictor reads
-// reconstructed neighbours (a serial recurrence) and the per-block
-// predictor selection accumulates doubles in scan order; vectorizing
-// either would reassociate floating point and change output bytes, so
-// both stay scalar by design — see docs/PERFORMANCE.md.
+// reconstructed neighbours and the per-block predictor selection
+// accumulates doubles in scan order.  The rule for both is: reorder
+// independent points, never reassociate.  pipeline.cpp visits a Lorenzo
+// block plane by plane so the core overlaps independent points, each
+// running the scalar operations in their order; summing a block's terms
+// in another order would change output bytes — see docs/PERFORMANCE.md.
 #pragma once
 
 #include <cstddef>

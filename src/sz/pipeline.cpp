@@ -1,6 +1,7 @@
 #include "sz/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 #include "sz/interpolation.h"
@@ -87,13 +88,56 @@ PredictorMode choose_mode(const T* data, size_t nz, size_t ny, size_t nx,
   return mode;
 }
 
+// Lorenzo-predicts and quantizes one block plane by plane: plane s holds
+// the block-local points with z + y + x == s (for a 1-D block, one point
+// each, so scan order).  Lorenzo reads only neighbours with no larger
+// coordinate, which lie on earlier planes or in earlier blocks, so the
+// points of a plane are independent and the core overlaps their divide
+// and rounding chains.  Each point still runs the scan-order visit's IEEE
+// operations in its order (points are reordered, never reassociated), so
+// codes and reconstructions are the scan-order ones.  Codes land at their
+// scan-order index in `codes`.  An unpredictable point takes its
+// truncated value now; the caller writes its bits after the block, in
+// scan order.  Returns the number of unpredictable points.
+template <typename T>
+size_t lorenzo_block(const T* data, T* recon, size_t nz, size_t ny,
+                     size_t nx, size_t z0, size_t y0, size_t x0, size_t bz,
+                     size_t by, size_t bx, const LinearQuantizer& quant,
+                     const UnpredictableEncoder& unpred, uint32_t* codes) {
+  const Lorenzo3D<T> lorenzo{recon, nz, ny, nx};
+  size_t misses = 0;
+  const size_t yx_last = (by - 1) + (bx - 1);
+  for (size_t s = 0; s <= (bz - 1) + yx_last; ++s) {
+    const size_t z_end = std::min(bz, s + 1);
+    for (size_t z = s > yx_last ? s - yx_last : 0; z < z_end; ++z) {
+      const size_t yx = s - z;
+      const size_t y_end = std::min(by, yx + 1);
+      for (size_t y = yx >= bx ? yx - (bx - 1) : 0; y < y_end; ++y) {
+        const size_t x = yx - y;
+        const size_t gz = z0 + z, gy = y0 + y, gx = x0 + x;
+        const size_t idx = (gz * ny + gy) * nx + gx;
+        const T v = data[idx];
+        const T pred = lorenzo.predict(gz, gy, gx);
+        T rv = pred;
+        const uint32_t code = quant.quantize(v, pred, rv);
+        codes[(z * by + y) * bx + x] = code;
+        if (code == 0) {
+          rv = unpred.truncate(v);
+          ++misses;
+        }
+        recon[idx] = rv;
+      }
+    }
+  }
+  return misses;
+}
+
 template <typename T>
 void encode_volume(const T* data, T* recon, size_t nz, size_t ny, size_t nx,
                    const Params& params, const LinearQuantizer& quant,
                    const CoeffCodec& codec, UnpredictableEncoder& unpred,
                    ByteWriter& side, std::vector<uint32_t>& codes,
                    uint64_t& unpred_count, const BlockShape& bs) {
-  const Lorenzo3D<T> lorenzo{recon, nz, ny, nx};
   std::vector<T> pred_row(bs.bx);
   const auto radius = static_cast<int64_t>(quant.radius());
   for (size_t z0 = 0; z0 < nz; z0 += bs.bz) {
@@ -127,26 +171,20 @@ void encode_volume(const T* data, T* recon, size_t nz, size_t ny, size_t nx,
         }
 
         if (mode == PredictorMode::kLorenzo) {
-          // Lorenzo reads reconstructed neighbours — a serial recurrence
-          // that cannot be vectorized without changing output bytes.
-          for (size_t z = 0; z < bz; ++z) {
-            for (size_t y = 0; y < by; ++y) {
-              for (size_t x = 0; x < bx; ++x) {
-                const size_t gz = z0 + z, gy = y0 + y, gx = x0 + x;
-                const size_t idx = (gz * ny + gy) * nx + gx;
-                const T v = data[idx];
-                const T pred = lorenzo.predict(gz, gy, gx);
-                T rv = pred;
-                const uint32_t code = quant.quantize(v, pred, rv);
-                codes.push_back(code);
-                if (code == 0) {
-                  rv = unpred.put(v);
-                  ++unpred_count;
-                }
-                recon[idx] = rv;
-              }
-            }
+          const size_t code_base = codes.size();
+          codes.resize(code_base + bz * by * bx);
+          uint32_t* block_codes = codes.data() + code_base;
+          const size_t misses =
+              lorenzo_block(data, recon, nz, ny, nx, z0, y0, x0, bz, by, bx,
+                            quant, unpred, block_codes);
+          // The unpredictable stream stays in scan order.
+          for (size_t i = 0, seen = 0; seen < misses; ++i) {
+            if (block_codes[i] != 0) continue;
+            const size_t z = i / (by * bx), y = i / bx % by, x = i % bx;
+            unpred.put(data[((z0 + z) * ny + (y0 + y)) * nx + (x0 + x)]);
+            ++seen;
           }
+          unpred_count += misses;
         } else {
           // Regression/mean predictions are element-wise: predict and
           // quantize whole rows through the SIMD kernels, then patch the
@@ -300,6 +338,10 @@ QuantizedField predict_quantize_impl(std::span<const T> data,
     params.eb_mode = ErrorBoundMode::kAbs;
   }
   SZSEC_REQUIRE(params.abs_error_bound > 0, "error bound must be positive");
+  // An infinite bound (given, or a REL bound over a range with +-inf)
+  // would overflow the unpredictable encoder's exponent arithmetic.
+  SZSEC_REQUIRE(std::isfinite(params.abs_error_bound),
+                "error bound must be finite");
 
   QuantizedField q;
   q.params = params;

@@ -14,6 +14,24 @@
 
 namespace szsec::sz {
 
+/// std::nearbyint(x) under the default rounding mode (to nearest, ties to
+/// even), bit for bit for every double, but inline: on baseline x86-64
+/// nearbyint is a libm call (ROUNDSD needs SSE4.1), and the quantizer
+/// sits on the Lorenzo recurrence.  For |x| < 2^52, |x| + 2^52 lies in
+/// [2^52, 2^53), where the ulp is 1, so the sum rounds to an integer as
+/// nearbyint would and subtracting 2^52 back is exact; copysign keeps the
+/// sign of a result that rounds to zero.  |x| >= 2^52 (already integral),
+/// +-inf and quiet NaNs come back unchanged; a signalling NaN comes back
+/// quieted, as nearbyint returns it (x + 0.0 is x for every other value
+/// there).  Relies on IEEE double arithmetic that is not reassociated (no
+/// -ffast-math).
+inline double round_half_even(double x) {
+  constexpr double kTwo52 = 4503599627370496.0;
+  const double a = std::fabs(x);
+  const double r = std::copysign((a + kTwo52) - kTwo52, x);
+  return a < kTwo52 ? r : x + 0.0;
+}
+
 class LinearQuantizer {
  public:
   LinearQuantizer(double abs_error_bound, uint32_t bins)
@@ -30,7 +48,7 @@ class LinearQuantizer {
     const double diff = static_cast<double>(value) - predicted;
     // Round to nearest bin; bins are centred multiples of 2*eb.
     const double scaled = diff / two_eb_;
-    const double rounded = std::nearbyint(scaled);
+    const double rounded = round_half_even(scaled);
     if (std::abs(rounded) >= static_cast<double>(radius_) ||
         !std::isfinite(diff)) {
       return 0;

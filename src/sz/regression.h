@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/bytestream.h"
+#include "sz/quantizer.h"
 
 namespace szsec::sz {
 
@@ -110,7 +111,7 @@ class CoeffCodec {
   }
 
   double quantize(double v, double step, ByteWriter& w) const {
-    double q = std::nearbyint(v / step);
+    double q = round_half_even(v / step);
     // Clamp pathological values (inf/nan from degenerate fits) to 0.
     if (!std::isfinite(q) || std::abs(q) > 9.0e18) q = 0;
     const int64_t qi = static_cast<int64_t>(q);

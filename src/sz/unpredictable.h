@@ -48,39 +48,50 @@ class UnpredictableEncoder {
   explicit UnpredictableEncoder(double abs_error_bound)
       : log2_eb_(static_cast<int>(std::floor(std::log2(abs_error_bound)))) {}
 
-  /// Writes `v` and returns the truncated value the decoder will see;
-  /// the compressor must store this into its reconstruction array so both
-  /// sides keep predicting from identical data.
-  float put(float v) {
+  /// The value the decoder will see for `v`: sign, exponent and the
+  /// mantissa bits the bound keeps, the rest cleared.  Pure, so a caller
+  /// can reconstruct a point now and write its bits later (put() writes
+  /// exactly the bits of truncate(v)).
+  float truncate(float v) const {
     const uint32_t bits = std::bit_cast<uint32_t>(v);
+    const unsigned kept = detail::kept_bits_f32((bits >> 23) & 0xFF, log2_eb_);
+    return std::bit_cast<float>(bits & ~(uint32_t{0x7FFFFF} >> kept));
+  }
+
+  double truncate(double v) const {
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    const unsigned kept = detail::kept_bits_f64(
+        static_cast<unsigned>((bits >> 52) & 0x7FF), log2_eb_);
+    return std::bit_cast<double>(bits &
+                                 ~(uint64_t{0xFFFFFFFFFFFFF} >> kept));
+  }
+
+  /// Writes `v` and returns truncate(v); the compressor must store that
+  /// into its reconstruction array so both sides keep predicting from
+  /// identical data.
+  float put(float v) {
+    const float t = truncate(v);
+    const uint32_t bits = std::bit_cast<uint32_t>(t);
     const uint32_t biased = (bits >> 23) & 0xFF;
     const unsigned kept = detail::kept_bits_f32(biased, log2_eb_);
     w_.put_bit(bits >> 31);
     w_.put_bits(biased, 8);
-    uint32_t mant = 0;
-    if (kept > 0) {
-      mant = (bits & 0x7FFFFF) >> (23 - kept);
-      w_.put_bits(mant, kept);
-      mant <<= (23 - kept);
-    }
-    return std::bit_cast<float>((bits & 0x80000000u) | (biased << 23) | mant);
+    if (kept > 0) w_.put_bits((bits & 0x7FFFFF) >> (23 - kept), kept);
+    return t;
   }
 
   double put(double v) {
-    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    const double t = truncate(v);
+    const uint64_t bits = std::bit_cast<uint64_t>(t);
     const uint64_t biased = (bits >> 52) & 0x7FF;
     const unsigned kept =
         detail::kept_bits_f64(static_cast<unsigned>(biased), log2_eb_);
     w_.put_bit(static_cast<unsigned>(bits >> 63));
     w_.put_bits(biased, 11);
-    uint64_t mant = 0;
     if (kept > 0) {
-      mant = (bits & 0xFFFFFFFFFFFFFull) >> (52 - kept);
-      w_.put_bits(mant, kept);
-      mant <<= (52 - kept);
+      w_.put_bits((bits & 0xFFFFFFFFFFFFFull) >> (52 - kept), kept);
     }
-    return std::bit_cast<double>((bits & 0x8000000000000000ull) |
-                                 (biased << 52) | mant);
+    return t;
   }
 
   Bytes finish() { return w_.finish(); }

@@ -2,9 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <queue>
 #include <vector>
+
+#include "sz/interpolation.h"
+#include "sz/kernels.h"
+#include "sz/predictor.h"
+#include "sz/quantizer.h"
+#include "sz/regression.h"
+#include "sz/unpredictable.h"
 
 namespace szsec::testing::reference {
 
@@ -922,6 +930,281 @@ uint32_t crc32(BytesView data, uint32_t seed) {
   uint32_t c = seed ^ 0xFFFFFFFFu;
   for (uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+namespace {
+
+using sz::LinearQuantizer;
+using sz::Params;
+using sz::PredictorMode;
+using sz::RegressionCoeffs;
+
+// LinearQuantizer::quantize() rounding through libm.
+template <typename T>
+uint32_t quantize(const LinearQuantizer& quant, T value, T predicted,
+                  T& reconstructed) {
+  const double two_eb = 2.0 * quant.error_bound();
+  const auto radius = static_cast<int64_t>(quant.radius());
+  const double diff = static_cast<double>(value) - predicted;
+  const double scaled = diff / two_eb;
+  const double rounded = std::nearbyint(scaled);
+  if (std::abs(rounded) >= static_cast<double>(radius) ||
+      !std::isfinite(diff)) {
+    return 0;
+  }
+  const int64_t q = static_cast<int64_t>(rounded);
+  const T recon = static_cast<T>(predicted + rounded * two_eb);
+  if (std::abs(static_cast<double>(recon) - value) > quant.error_bound()) {
+    return 0;
+  }
+  reconstructed = recon;
+  return static_cast<uint32_t>(q + radius);
+}
+
+struct Shape {
+  size_t nt, nz, ny, nx;
+};
+
+Shape normalize(const Dims& dims) {
+  switch (dims.rank()) {
+    case 1:
+      return {1, 1, 1, dims[0]};
+    case 2:
+      return {1, 1, dims[0], dims[1]};
+    case 3:
+      return {1, dims[0], dims[1], dims[2]};
+    default:
+      return {dims[0], dims[1], dims[2], dims[3]};
+  }
+}
+
+struct BlockShape {
+  size_t bz, by, bx;
+};
+
+BlockShape block_shape(const Shape& s, const Params& p) {
+  const size_t b = std::max<uint32_t>(2, p.block_side);
+  if (s.nz == 1 && s.ny == 1) return {1, 1, b * b * b};
+  if (s.nz == 1) return {1, 2 * b, 2 * b};
+  return {b, b, b};
+}
+
+template <typename T>
+PredictorMode choose_mode(const T* data, size_t nz, size_t ny, size_t nx,
+                          size_t z0, size_t y0, size_t x0, size_t bz,
+                          size_t by, size_t bx, const Params& params,
+                          const RegressionCoeffs& reg, double mean) {
+  const sz::Lorenzo3D<T> lorenzo{data, nz, ny, nx};
+  double err_l = 0, err_r = 0, err_m = 0;
+  for (size_t z = 0; z < bz; ++z) {
+    for (size_t y = 0; y < by; ++y) {
+      for (size_t x = 0; x < bx; x += 2) {
+        const size_t gz = z0 + z, gy = y0 + y, gx = x0 + x;
+        const double v = data[(gz * ny + gy) * nx + gx];
+        err_l += std::abs(v - static_cast<double>(lorenzo.predict(gz, gy, gx)));
+        if (params.use_regression) {
+          const double pr = reg.slope[0] * static_cast<double>(z) +
+                            reg.slope[1] * static_cast<double>(y) +
+                            reg.slope[2] * static_cast<double>(x) +
+                            reg.intercept;
+          err_r += std::abs(v - pr);
+        }
+        if (params.use_mean_predictor) err_m += std::abs(v - mean);
+      }
+    }
+  }
+  PredictorMode mode = PredictorMode::kLorenzo;
+  double best = err_l;
+  if (params.use_mean_predictor && err_m < best) {
+    best = err_m;
+    mode = PredictorMode::kMean;
+  }
+  if (params.use_regression && err_r < best) {
+    mode = PredictorMode::kRegression;
+  }
+  return mode;
+}
+
+template <typename T>
+void encode_volume(const T* data, T* recon, size_t nz, size_t ny, size_t nx,
+                   const Params& params, const LinearQuantizer& quant,
+                   const sz::CoeffCodec& codec,
+                   sz::UnpredictableEncoder& unpred, ByteWriter& side,
+                   std::vector<uint32_t>& codes, uint64_t& unpred_count,
+                   const BlockShape& bs) {
+  const sz::Lorenzo3D<T> lorenzo{recon, nz, ny, nx};
+  std::vector<T> pred_row(bs.bx);
+  const auto radius = static_cast<int64_t>(quant.radius());
+  for (size_t z0 = 0; z0 < nz; z0 += bs.bz) {
+    const size_t bz = std::min(bs.bz, nz - z0);
+    for (size_t y0 = 0; y0 < ny; y0 += bs.by) {
+      const size_t by = std::min(bs.by, ny - y0);
+      for (size_t x0 = 0; x0 < nx; x0 += bs.bx) {
+        const size_t bx = std::min(bs.bx, nx - x0);
+        const T* block0 = data + (z0 * ny + y0) * nx + x0;
+
+        RegressionCoeffs reg;
+        double mean = 0;
+        if (params.use_regression || params.use_mean_predictor) {
+          reg = sz::fit_block(block0, bz, by, bx, ny * nx, nx, 1);
+          mean = reg.intercept +
+                 reg.slope[0] * (static_cast<double>(bz) - 1) / 2 +
+                 reg.slope[1] * (static_cast<double>(by) - 1) / 2 +
+                 reg.slope[2] * (static_cast<double>(bx) - 1) / 2;
+        }
+        const PredictorMode mode =
+            choose_mode(data, nz, ny, nx, z0, y0, x0, bz, by, bx, params,
+                        reg, mean);
+
+        side.put_u8(static_cast<uint8_t>(mode));
+        double qmean = 0;
+        if (mode == PredictorMode::kRegression) {
+          codec.encode(reg, side);
+        } else if (mode == PredictorMode::kMean) {
+          qmean = codec.encode_mean(mean, side);
+        }
+
+        if (mode == PredictorMode::kLorenzo) {
+          for (size_t z = 0; z < bz; ++z) {
+            for (size_t y = 0; y < by; ++y) {
+              for (size_t x = 0; x < bx; ++x) {
+                const size_t gz = z0 + z, gy = y0 + y, gx = x0 + x;
+                const size_t idx = (gz * ny + gy) * nx + gx;
+                const T v = data[idx];
+                const T pred = lorenzo.predict(gz, gy, gx);
+                T rv = pred;
+                const uint32_t code = quantize(quant, v, pred, rv);
+                codes.push_back(code);
+                if (code == 0) {
+                  rv = unpred.put(v);
+                  ++unpred_count;
+                }
+                recon[idx] = rv;
+              }
+            }
+          }
+        } else {
+          for (size_t z = 0; z < bz; ++z) {
+            for (size_t y = 0; y < by; ++y) {
+              const size_t row0 = ((z0 + z) * ny + (y0 + y)) * nx + x0;
+              if (mode == PredictorMode::kRegression) {
+                const double t_zy = reg.slope[0] * static_cast<double>(z) +
+                                    reg.slope[1] * static_cast<double>(y);
+                sz::kernels::predict_affine_row(t_zy, reg.slope[2],
+                                                reg.intercept, bx,
+                                                pred_row.data());
+              } else {
+                std::fill_n(pred_row.data(), bx, static_cast<T>(qmean));
+              }
+              const size_t code_base = codes.size();
+              codes.resize(code_base + bx);
+              sz::kernels::quantize_row(data + row0, pred_row.data(), bx,
+                                        quant.error_bound(), radius,
+                                        codes.data() + code_base,
+                                        recon + row0);
+              for (size_t x = 0; x < bx; ++x) {
+                if (codes[code_base + x] == 0) {
+                  recon[row0 + x] = unpred.put(data[row0 + x]);
+                  ++unpred_count;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void interp_encode(const T* data, T* recon, size_t nz, size_t ny, size_t nx,
+                   const LinearQuantizer& quant,
+                   sz::UnpredictableEncoder& unpred,
+                   std::vector<uint32_t>& codes, uint64_t& unpred_count) {
+  sz::interp_detail::traverse<T>(
+      recon, nz, ny, nx, [&](size_t idx, T pred) {
+        const T v = data[idx];
+        T rv = pred;
+        const uint32_t code = quantize(quant, v, pred, rv);
+        codes.push_back(code);
+        if (code == 0) {
+          rv = unpred.put(v);
+          ++unpred_count;
+        }
+        recon[idx] = rv;
+      });
+}
+
+template <typename T>
+sz::QuantizedField predict_quantize_impl(std::span<const T> data,
+                                         const Dims& dims, const Params& raw) {
+  SZSEC_REQUIRE(data.size() == dims.count(),
+                "data size does not match dims");
+  SZSEC_REQUIRE(raw.quant_bins >= 4 && raw.quant_bins % 2 == 0,
+                "quant_bins must be even and >= 4");
+  Params params = raw;
+  if (raw.eb_mode == sz::ErrorBoundMode::kRel) {
+    SZSEC_REQUIRE(raw.rel_error_bound > 0,
+                  "relative error bound must be positive");
+    T lo = data.empty() ? T{0} : data[0];
+    T hi = lo;
+    for (T v : data) {
+      if (v < lo) lo = v;
+      if (v > hi) hi = v;
+    }
+    const double range = static_cast<double>(hi) - static_cast<double>(lo);
+    params.abs_error_bound = std::max(range * raw.rel_error_bound, 1e-30);
+    params.eb_mode = sz::ErrorBoundMode::kAbs;
+  }
+  SZSEC_REQUIRE(params.abs_error_bound > 0, "error bound must be positive");
+  // An infinite bound (given, or a REL bound over a range with +-inf)
+  // would overflow the unpredictable encoder's exponent arithmetic.
+  SZSEC_REQUIRE(std::isfinite(params.abs_error_bound),
+                "error bound must be finite");
+
+  sz::QuantizedField q;
+  q.params = params;
+  q.dims = dims;
+  q.dtype = std::is_same_v<T, float> ? sz::DType::kFloat32
+                                     : sz::DType::kFloat64;
+  q.codes.reserve(data.size());
+
+  const Shape s = normalize(dims);
+  const BlockShape bs = block_shape(s, params);
+  const LinearQuantizer quant(params.abs_error_bound, params.quant_bins);
+  const sz::CoeffCodec codec(params.abs_error_bound, params.block_side);
+  sz::UnpredictableEncoder unpred(params.abs_error_bound);
+  ByteWriter side;
+
+  std::vector<T> recon(s.nz * s.ny * s.nx);
+  const size_t vol = s.nz * s.ny * s.nx;
+  for (size_t t = 0; t < s.nt; ++t) {
+    if (params.predictor == sz::Predictor::kInterpolation) {
+      interp_encode(data.data() + t * vol, recon.data(), s.nz, s.ny, s.nx,
+                    quant, unpred, q.codes, q.unpredictable_count);
+    } else {
+      encode_volume(data.data() + t * vol, recon.data(), s.nz, s.ny, s.nx,
+                    params, quant, codec, unpred, side, q.codes,
+                    q.unpredictable_count, bs);
+    }
+  }
+  q.unpredictable = unpred.finish();
+  q.side_info = side.take();
+  return q;
+}
+
+}  // namespace
+
+sz::QuantizedField predict_quantize(std::span<const float> data,
+                                    const Dims& dims,
+                                    const sz::Params& params) {
+  return predict_quantize_impl(data, dims, params);
+}
+
+sz::QuantizedField predict_quantize(std::span<const double> data,
+                                    const Dims& dims,
+                                    const sz::Params& params) {
+  return predict_quantize_impl(data, dims, params);
 }
 
 }  // namespace szsec::testing::reference

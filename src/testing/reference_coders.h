@@ -1,5 +1,5 @@
-// Reference coders for the entropy stages and CRC-32, kept as a test
-// oracle.
+// Reference coders for the entropy stages, CRC-32 and SZ stages 1+2,
+// kept as a test oracle.
 //
 // These are the bit-at-a-time and byte-at-a-time coders the library used
 // before its word-at-a-time rewrites: the MSB-first and LSB-first bit
@@ -7,10 +7,13 @@
 // DEFLATE block emitter, zlite's canonical-walk inflater, and the bytewise
 // table CRC-32.  With them is the Huffman table set-up from before it went
 // sparse: the heap builder, the dense table writer and parser, and a
-// per-bit canonical decoder over the dense table.  They are slow on
-// purpose, simple enough to check by reading, and frozen: the production
-// coders must match them byte for byte, and the decoders must also throw
-// the same exception type with the same message at the same call
+// per-bit canonical decoder over the dense table.  And stages 1+2 as they
+// were before the Lorenzo blocks went plane by plane: every block visited
+// in scan order, each point rounded through std::nearbyint and its
+// unpredictable bits written as it is visited.  They are slow on purpose,
+// simple enough to check by reading, and frozen: the production coders
+// must match them byte for byte, and the decoders must also throw the
+// same exception type with the same message at the same call
 // (tests/entropy_identity_test.cpp, testing::replay_zlite,
 // testing::replay_huffman).  bench_kernels times the production coders
 // against them.  Nothing in the library links them.
@@ -21,8 +24,10 @@
 #include <vector>
 
 #include "common/bytestream.h"
+#include "common/dims.h"
 #include "common/error.h"
 #include "huffman/huffman.h"
+#include "sz/pipeline.h"
 #include "zlite/zlite.h"
 
 namespace szsec::testing::reference {
@@ -222,5 +227,14 @@ Bytes inflate(BytesView data, size_t size_hint = 0, size_t max_size = 0);
 
 /// crc32() one byte per table lookup.
 uint32_t crc32(BytesView data, uint32_t seed = 0);
+
+/// sz::predict_quantize() with every block visited in scan order.  It
+/// shares the library's regression fit, coefficient codec, row kernels,
+/// interpolation traversal and unpredictable encoder, and rounds each
+/// Lorenzo and interpolation point through std::nearbyint.
+sz::QuantizedField predict_quantize(std::span<const float> data,
+                                    const Dims& dims, const sz::Params& params);
+sz::QuantizedField predict_quantize(std::span<const double> data,
+                                    const Dims& dims, const sz::Params& params);
 
 }  // namespace szsec::testing::reference

@@ -27,14 +27,24 @@
 // are 11, 12, 18, 19 and 32 bits, complete or with holes at the root and
 // inside a second-level table, run the decoder's two-level tables over
 // every truncation, seeded bit flips and counts around its guards.
+//
+// SZ stages 1+2: sz::predict_quantize, which visits Lorenzo blocks plane
+// by plane and rounds inline, must give the scan-order oracle's codes,
+// unpredictable bytes and count, and side info at every forced dispatch
+// level: f32 and f64, ranks 1-4, extents that are not multiples of the
+// block, block sides 2, 6, 7 and 8, four quantization bins, bounds near
+// the denormal range, fields with NaN, +-inf, -0.0, denormals and
+// spikes, the interpolation predictor and REL mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #if SZSEC_HAVE_ZLIB
@@ -42,8 +52,11 @@
 #endif
 
 #include "common/bitstream.h"
+#include "common/cpu.h"
 #include "common/crc32.h"
+#include "common/error.h"
 #include "huffman/huffman.h"
+#include "sz/pipeline.h"
 #include "testing/code_shapes.h"
 #include "testing/reference_coders.h"
 #include "zlite/zlite.h"
@@ -1105,6 +1118,158 @@ TEST(EntropyIdentity, Crc32SlicedMatchesBytewise) {
       want_seed = want;
     }
   }
+}
+
+// Smooth waves plus noise, so blocks pick all three predictors, with
+// special values sprinkled in so unpredictable points fall inside
+// Lorenzo blocks: NaN, +-inf, -0.0, denormals of T and spikes.
+template <typename T>
+std::vector<T> sz_field(size_t n, size_t nx, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> noise(-1e-3, 1e-3);
+  std::vector<T> f(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i % nx), r = static_cast<double>(i / nx);
+    double v = std::sin(0.13 * x + 0.07 * r) + 0.002 * r;
+    if ((i / 97) % 3 == 1) v = 0.5 + 1e-4 * x;  // ramps and flats
+    f[i] = static_cast<T>(v + noise(rng));
+  }
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
+                        std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity(),
+                        T(-0.0),
+                        std::numeric_limits<T>::denorm_min(),
+                        -std::numeric_limits<T>::denorm_min() * T(37),
+                        std::numeric_limits<T>::min() / T(3),
+                        T(1e6),
+                        T(-3e4),
+                        std::numeric_limits<T>::max()};
+  for (size_t k = 0; k < n / 23 + 1; ++k) {
+    f[rng() % n] = specials[rng() % std::size(specials)];
+  }
+  return f;
+}
+
+struct SzCase {
+  const char* name;
+  sz::Params params;
+};
+
+std::vector<SzCase> sz_cases() {
+  std::vector<SzCase> cases;
+  const auto add = [&](const char* name, auto&& tweak) {
+    sz::Params p;
+    p.abs_error_bound = 1e-3;
+    tweak(p);
+    cases.push_back({name, p});
+  };
+  add("abs", [](sz::Params&) {});
+  add("four-bins", [](sz::Params& p) { p.quant_bins = 4; });
+  add("tight", [](sz::Params& p) { p.abs_error_bound = 1e-9; });
+  add("f32-denormal-bound", [](sz::Params& p) { p.abs_error_bound = 1e-40; });
+  add("f64-denormal-bound", [](sz::Params& p) { p.abs_error_bound = 1e-310; });
+  add("lorenzo-only", [](sz::Params& p) {
+    p.use_regression = false;
+    p.use_mean_predictor = false;
+  });
+  add("rel", [](sz::Params& p) {
+    p.eb_mode = sz::ErrorBoundMode::kRel;
+    p.rel_error_bound = 1e-4;
+  });
+  add("interpolation", [](sz::Params& p) {
+    p.predictor = sz::Predictor::kInterpolation;
+  });
+  add("interpolation-four-bins", [](sz::Params& p) {
+    p.predictor = sz::Predictor::kInterpolation;
+    p.quant_bins = 4;
+  });
+  return cases;
+}
+
+// An Error's message without the file:line the requirement macros put
+// first, which differs between the library and the oracle.
+std::string without_location(const Error& e) {
+  const std::string what = e.what();
+  const size_t at = what.find("requirement failed");
+  return at == std::string::npos ? what : what.substr(at);
+}
+
+template <typename T>
+void expect_predict_quantize_identical() {
+  // Extents off every block side; rank 4 runs several 3-D volumes
+  // through one reconstruction buffer.
+  const std::vector<Dims> shapes = {
+      Dims{1000},        Dims{37},           Dims{37, 29},
+      Dims{13, 50},      Dims{9, 14, 11},    Dims{5, 17, 23},
+      Dims{3, 7, 10, 9}, Dims{2, 5, 13, 6}};
+  const uint32_t levels[] = {0, cpu::kSse2, cpu::kSse2 | cpu::kAvx2,
+                             cpu::detected_features()};
+  // Restores the enabled features if a case throws.
+  struct Restore {
+    uint32_t saved = cpu::enabled_features();
+    ~Restore() { cpu::override_features_for_testing(saved); }
+  } restore;
+  uint64_t seed = 0x5A1;
+  for (const Dims& dims : shapes) {
+    // The field as drawn, and a copy with its infinities replaced by
+    // spikes, so that REL mode gets a finite value range as well.
+    const std::vector<T> drawn =
+        sz_field<T>(dims.count(), dims[dims.rank() - 1], ++seed);
+    std::vector<T> finite = drawn;
+    for (T& v : finite) {
+      if (std::isinf(v)) v = std::signbit(v) ? T(-2e3) : T(5e3);
+    }
+    for (const std::vector<T>* field : {&drawn, &std::as_const(finite)}) {
+      const std::span<const T> in(*field);
+      for (const uint32_t side : {2u, 6u, 7u, 8u}) {
+        for (SzCase c : sz_cases()) {
+          c.params.block_side = side;
+          // Where the oracle rejects the parameters (a REL bound over a
+          // range with an infinity), the library must throw the same.
+          sz::QuantizedField want;
+          std::string want_error;
+          try {
+            want = ref::predict_quantize(in, dims, c.params);
+          } catch (const Error& e) {
+            want_error = without_location(e);
+          }
+          for (const uint32_t level : levels) {
+            if ((level & cpu::detected_features()) != level) continue;
+            cpu::override_features_for_testing(level);
+            SCOPED_TRACE(std::string(c.name) + " rank " +
+                         std::to_string(dims.rank()) + " n " +
+                         std::to_string(dims.count()) + " side " +
+                         std::to_string(side) + " level " +
+                         std::to_string(level) +
+                         (field == &drawn ? " drawn" : " finite"));
+            sz::QuantizedField got;
+            std::string got_error;
+            try {
+              got = sz::predict_quantize(in, dims, c.params);
+            } catch (const Error& e) {
+              got_error = without_location(e);
+            }
+            cpu::override_features_for_testing(restore.saved);
+            ASSERT_EQ(got_error, want_error);
+            ASSERT_EQ(got.codes, want.codes);
+            ASSERT_EQ(got.unpredictable_count, want.unpredictable_count);
+            ASSERT_EQ(got.unpredictable, want.unpredictable);
+            ASSERT_EQ(got.side_info, want.side_info);
+            ASSERT_EQ(got.params.abs_error_bound,
+                      want.params.abs_error_bound);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EntropyIdentity, PredictQuantizeMatchesScanOrderF32) {
+  expect_predict_quantize_identical<float>();
+}
+
+TEST(EntropyIdentity, PredictQuantizeMatchesScanOrderF64) {
+  expect_predict_quantize_identical<double>();
 }
 
 }  // namespace

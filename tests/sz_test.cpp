@@ -4,6 +4,9 @@
 // trips across ranks, dtypes, and data regimes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "common/stats.h"
@@ -17,6 +20,52 @@
 
 namespace szsec::sz {
 namespace {
+
+// --- Rounding ------------------------------------------------------------------
+
+void expect_rounds_like_nearbyint(double x) {
+  ASSERT_EQ(std::bit_cast<uint64_t>(round_half_even(x)),
+            std::bit_cast<uint64_t>(std::nearbyint(x)))
+      << "x = " << x << " (bits " << std::hex << std::bit_cast<uint64_t>(x)
+      << ")";
+}
+
+TEST(Rounding, EdgeValuesMatchNearbyint) {
+  using lim = std::numeric_limits<double>;
+  const double two51 = 2251799813685248.0, two52 = 2 * two51;
+  const double values[] = {
+      0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+      -0.49999999999999994, 3.5, -1e-300, two51 - 0.5, two51 + 0.5,
+      -(two51 + 0.5), two52 - 1, two52 - 0.5, two52, two52 + 1, -(two52 + 1),
+      2 * two52 + 2, lim::max(), -lim::max(), lim::min(), -lim::min(),
+      lim::denorm_min(), -lim::denorm_min(), lim::min() / 3, lim::infinity(),
+      -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7FF8000000000123}),
+      lim::signaling_NaN()};
+  for (const double x : values) expect_rounds_like_nearbyint(x);
+}
+
+TEST(Rounding, SeededRandomDoublesMatchNearbyint) {
+  std::mt19937_64 rng(0x40D);
+  std::uniform_int_distribution<int> exponent(-3, 54);
+  for (int i = 0; i < 1000000; ++i) {
+    double x = 0;
+    switch (i % 3) {
+      case 0:  // any bit pattern: every exponent, NaNs and infinities
+        x = std::bit_cast<double>(rng());
+        break;
+      case 1:  // the magnitudes where rounding does something
+        x = std::ldexp(std::bit_cast<double>((rng() >> 12) |
+                                             0x3FF0000000000000ull),
+                       exponent(rng));
+        break;
+      default:  // ties
+        x = static_cast<double>(static_cast<int64_t>(rng() >> 12)) + 0.5;
+    }
+    if (rng() & 1) x = -x;
+    expect_rounds_like_nearbyint(x);
+  }
+}
 
 // --- LinearQuantizer ---------------------------------------------------------
 
@@ -88,7 +137,13 @@ void check_unpredictable_roundtrip(double eb, std::vector<T> values) {
   UnpredictableEncoder enc(eb);
   std::vector<T> truncated;
   truncated.reserve(values.size());
-  for (T v : values) truncated.push_back(enc.put(v));
+  using Raw = std::conditional_t<std::is_same_v<T, float>, uint32_t,
+                                 uint64_t>;
+  for (T v : values) {
+    const T pure = enc.truncate(v);
+    truncated.push_back(enc.put(v));
+    EXPECT_EQ(std::bit_cast<Raw>(pure), std::bit_cast<Raw>(truncated.back()));
+  }
   const Bytes blob = enc.finish();
   UnpredictableDecoder dec{BytesView(blob), eb};
   for (size_t i = 0; i < values.size(); ++i) {
@@ -99,8 +154,6 @@ void check_unpredictable_roundtrip(double eb, std::vector<T> values) {
       decoded = dec.next_f64();
     }
     // Decoder sees exactly what the encoder reported.
-    using Raw = std::conditional_t<std::is_same_v<T, float>, uint32_t,
-                                   uint64_t>;
     const Raw decoded_raw = std::bit_cast<Raw>(decoded);
     const Raw truncated_raw = std::bit_cast<Raw>(truncated[i]);
     EXPECT_EQ(decoded_raw, truncated_raw);
