@@ -19,7 +19,9 @@
 // (predict+quantize and Huffman over a Nyx-like and a sparse plume
 // field), and CRC-32 against the bytewise table.  So is the Huffman
 // table set-up, against the reference's heap builder and dense table
-// writer and parser.
+// writer and parser.  Every reference row times its two sides
+// alternately, each round starting with the other, so neither side
+// absorbs the allocator's warm-up.
 //
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
@@ -116,6 +118,34 @@ double time_mbps(size_t bytes, Fn&& body) {
   return median(std::move(rates));
 }
 
+// Median MB/s of a reference and a library body over `bytes` useful
+// bytes per call, for a reference row.  The two sides alternate, each
+// round starting with the other, so drift in the allocator's state and
+// in the clock hits both alike (timing one side fully first hands it
+// the warm-up).
+template <typename Ref, typename Lib>
+std::pair<double, double> time_pair_mbps(size_t bytes, Ref&& reference,
+                                         Lib&& library) {
+  const auto timed = [bytes](auto& body) {
+    CpuTimer t;
+    body();
+    return static_cast<double>(bytes) / 1e6 / t.elapsed_s();
+  };
+  reference();  // warmup
+  library();
+  std::vector<double> ref_rates, lib_rates;
+  for (int r = 0; r < 2 * runs(); ++r) {
+    if (r % 2 == 0) {
+      ref_rates.push_back(timed(reference));
+      lib_rates.push_back(timed(library));
+    } else {
+      lib_rates.push_back(timed(library));
+      ref_rates.push_back(timed(reference));
+    }
+  }
+  return {median(std::move(ref_rates)), median(std::move(lib_rates))};
+}
+
 // ------------------------------------------------------------------ AES
 
 void bench_aes(uint32_t level_mask, const std::string& level,
@@ -204,14 +234,18 @@ std::vector<uint32_t> entropy_symbols(bool hard, size_t count) {
   return symbols;
 }
 
-// Reference and library MB/s for one coder, summed as seconds per MB
-// over the payloads, for its speedup on both payloads together.
+// Reference and library MB/s for one coder, timed by time_pair_mbps and
+// summed as seconds per MB over the payloads, for its speedup on both
+// payloads together.
 struct ReferenceTimes {
   double reference_s = 0;
   double library_s = 0;
 
+  template <typename Ref, typename Lib>
   void add(std::vector<KernelResult>& out, const std::string& kernel,
-           double reference_mbps, double library_mbps) {
+           size_t bytes, Ref&& reference, Lib&& library) {
+    const auto [reference_mbps, library_mbps] =
+        time_pair_mbps(bytes, reference, library);
     out.push_back({kernel, "reference", reference_mbps});
     out.push_back({kernel, "scalar", library_mbps});
     reference_s += 1 / reference_mbps;
@@ -243,21 +277,20 @@ std::pair<double, double> bench_entropy_encoders(
                   "zlite deflate differs from the reference");
 
     const size_t symbol_bytes = kCount * sizeof(uint32_t);
-    encode.add(out, "huffman-encode-" + payload, time_mbps(symbol_bytes, [&] {
-                 SZSEC_REQUIRE(
-                     !ref::huffman_encode(ref_table, symbols).empty(),
-                     "empty");
-               }),
-               time_mbps(symbol_bytes, [&] {
-                 SZSEC_REQUIRE(!szsec::huffman::encode(table, symbols).empty(),
-                               "empty");
-               }));
-    deflate.add(out, "zlite-deflate-" + payload, time_mbps(packed.size(), [&] {
-                  SZSEC_REQUIRE(!ref::deflate(in).empty(), "empty");
-                }),
-                time_mbps(packed.size(), [&] {
-                  SZSEC_REQUIRE(!szsec::zlite::deflate(in).empty(), "empty");
-                }));
+    encode.add(
+        out, "huffman-encode-" + payload, symbol_bytes,
+        [&] {
+          SZSEC_REQUIRE(!ref::huffman_encode(ref_table, symbols).empty(),
+                        "empty");
+        },
+        [&] {
+          SZSEC_REQUIRE(!szsec::huffman::encode(table, symbols).empty(),
+                        "empty");
+        });
+    deflate.add(
+        out, "zlite-deflate-" + payload, packed.size(),
+        [&] { SZSEC_REQUIRE(!ref::deflate(in).empty(), "empty"); },
+        [&] { SZSEC_REQUIRE(!szsec::zlite::deflate(in).empty(), "empty"); });
   }
   return {encode.speedup(), deflate.speedup()};
 }
@@ -444,25 +477,24 @@ std::pair<double, double> bench_decoders(std::vector<KernelResult>& out) {
                   "zlite inflate differs from the reference");
     std::printf("zlite-inflate-%s: %zu -> %zu bytes\n", payload.c_str(),
                 packed.size(), plain.size());
-    inflate.add(out, "zlite-inflate-" + payload, time_mbps(plain.size(), [&] {
-                  SZSEC_REQUIRE(ref::inflate(in).size() == plain.size(),
-                                "short");
-                }),
-                time_mbps(plain.size(), [&] {
-                  SZSEC_REQUIRE(
-                      szsec::zlite::inflate(in).size() == plain.size(),
-                      "short");
-                }));
+    inflate.add(
+        out, "zlite-inflate-" + payload, plain.size(),
+        [&] {
+          SZSEC_REQUIRE(ref::inflate(in).size() == plain.size(), "short");
+        },
+        [&] {
+          SZSEC_REQUIRE(szsec::zlite::inflate(in).size() == plain.size(),
+                        "short");
+        });
     if (!hard) continue;
     const BytesView bytes(plain);
     SZSEC_REQUIRE(szsec::crc32(bytes) == ref::crc32(bytes),
                   "crc32 differs from the reference");
     // Each CRC seeds the next, and the volatile keeps every call.
     volatile uint32_t sink = 0;
-    crc.add(out, "crc32",
-            time_mbps(plain.size(), [&] { sink = ref::crc32(bytes, sink); }),
-            time_mbps(plain.size(),
-                      [&] { sink = szsec::crc32(bytes, sink); }));
+    crc.add(
+        out, "crc32", plain.size(), [&] { sink = ref::crc32(bytes, sink); },
+        [&] { sink = szsec::crc32(bytes, sink); });
   }
   return {inflate.speedup(), crc.speedup()};
 }
@@ -516,35 +548,38 @@ double bench_huffman_setup(std::vector<KernelResult>& out) {
                 blob.size());
 
     const size_t bytes = reps * symbols.size() * sizeof(uint32_t);
-    setup.add(out, name + "-write", time_mbps(bytes, [&] {
-                for (size_t r = 0; r < reps; ++r) {
-                  SZSEC_REQUIRE(!ref_write().empty(), "empty");
-                }
-              }),
-              time_mbps(bytes, [&] {
-                for (size_t r = 0; r < reps; ++r) {
-                  SZSEC_REQUIRE(!lib_write().empty(), "empty");
-                }
-              }));
-    setup.add(out, name + "-parse", time_mbps(bytes, [&] {
-                for (size_t r = 0; r < reps; ++r) {
-                  SZSEC_REQUIRE(
-                      ref::huffman_decode(ref::huffman_deserialize_table(tree),
-                                          {}, 0)
-                          .empty(),
-                      "decoded");
-                }
-              }),
-              time_mbps(bytes, [&] {
-                for (size_t r = 0; r < reps; ++r) {
-                  SZSEC_REQUIRE(
-                      huffman::decode(
-                          huffman::deserialize_table(tree, symbols.size()),
-                          {}, 0)
-                          .empty(),
-                      "decoded");
-                }
-              }));
+    setup.add(
+        out, name + "-write", bytes,
+        [&] {
+          for (size_t r = 0; r < reps; ++r) {
+            SZSEC_REQUIRE(!ref_write().empty(), "empty");
+          }
+        },
+        [&] {
+          for (size_t r = 0; r < reps; ++r) {
+            SZSEC_REQUIRE(!lib_write().empty(), "empty");
+          }
+        });
+    setup.add(
+        out, name + "-parse", bytes,
+        [&] {
+          for (size_t r = 0; r < reps; ++r) {
+            SZSEC_REQUIRE(
+                ref::huffman_decode(ref::huffman_deserialize_table(tree), {},
+                                    0)
+                    .empty(),
+                "decoded");
+          }
+        },
+        [&] {
+          for (size_t r = 0; r < reps; ++r) {
+            SZSEC_REQUIRE(
+                huffman::decode(
+                    huffman::deserialize_table(tree, symbols.size()), {}, 0)
+                    .empty(),
+                "decoded");
+          }
+        });
   }
   return setup.speedup();
 }
@@ -574,38 +609,22 @@ double bench_lorenzo(std::vector<KernelResult>& out) {
                   "predict+quantize differs from the reference");
     const std::string name =
         std::string("sz-lorenzo-quantize-") + (hard ? "nyx" : "plume");
-    // The two sides alternate, each run starting with the other, so drift
-    // in the allocator's state and in the clock hits both alike.
-    const auto timed = [&](auto&& predict_quantize) {
-      CpuTimer t;
-      for (size_t r = 0; r < kReps; ++r) {
-        SZSEC_REQUIRE(predict_quantize(field, c.dims, c.params).codes.size() ==
-                          c.field.size(),
-                      "short");
-      }
-      return static_cast<double>(kReps * c.field.size() * sizeof(float)) /
-             1e6 / t.elapsed_s();
-    };
-    const auto ref_side = [](auto&&... a) {
-      return ref::predict_quantize(a...);
-    };
-    const auto lib_side = [](auto&&... a) {
-      return szsec::sz::predict_quantize(a...);
-    };
-    timed(ref_side);  // warmup
-    timed(lib_side);
-    std::vector<double> ref_rates, lib_rates;
-    for (int r = 0; r < 2 * runs(); ++r) {
-      if (r % 2 == 0) {
-        ref_rates.push_back(timed(ref_side));
-        lib_rates.push_back(timed(lib_side));
-      } else {
-        lib_rates.push_back(timed(lib_side));
-        ref_rates.push_back(timed(ref_side));
-      }
-    }
-    const double reference = median(std::move(ref_rates));
-    const double library = median(std::move(lib_rates));
+    const auto [reference, library] = time_pair_mbps(
+        kReps * c.field.size() * sizeof(float),
+        [&] {
+          for (size_t r = 0; r < kReps; ++r) {
+            SZSEC_REQUIRE(ref::predict_quantize(field, c.dims, c.params)
+                                  .codes.size() == c.field.size(),
+                          "short");
+          }
+        },
+        [&] {
+          for (size_t r = 0; r < kReps; ++r) {
+            SZSEC_REQUIRE(szsec::sz::predict_quantize(field, c.dims, c.params)
+                                  .codes.size() == c.field.size(),
+                          "short");
+          }
+        });
     out.push_back({name, "reference", reference});
     out.push_back({name, "scalar", library});
     if (!hard) plume = library / reference;

@@ -47,8 +47,8 @@ struct Measurement {
   double compress_seconds = 0;
   double decompress_seconds = 0;
   core::CompressStats stats;
-  StageTimes compress_times;    // stage breakdown of the last run
-  StageTimes decompress_times;
+  PipelineMetrics compress_times;    // stage breakdown of the last run
+  PipelineMetrics decompress_times;
   size_t raw_bytes = 0;
 
   double compress_mbps() const {

@@ -1,16 +1,16 @@
-// Slab-parallel archiving: compress a large snapshot across worker
+// Chunk-parallel archiving: compress a large snapshot across worker
 // threads (the production-deployment layer on top of the paper's
-// single-threaded pipeline).  Shows the thread/slab knobs, the archive
-// format, and the slab-count vs compression-ratio trade-off.
+// single-threaded pipeline).  Shows the thread/chunk knobs of the v3
+// chunked archive and the chunk-count vs compression-ratio trade-off.
 //
 //   ./parallel_archive [threads]
 #include <cstdio>
 #include <cstdlib>
 
+#include "archive/chunked.h"
 #include "common/stats.h"
 #include "common/timer.h"
 #include "data/datasets.h"
-#include "parallel/slab.h"
 
 int main(int argc, char** argv) {
   using namespace szsec;
@@ -25,33 +25,33 @@ int main(int argc, char** argv) {
   std::printf("field: %s %s (%.1f MB), scheme Encr-Huffman\n",
               d.name.c_str(), d.dims.to_string().c_str(),
               d.bytes() / 1e6);
-  std::printf("%8s %10s %12s %12s\n", "slabs", "CR", "comp MB/s",
+  std::printf("%8s %10s %12s %12s\n", "chunks", "CR", "comp MB/s",
               "restore ok");
 
-  for (size_t slabs : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    parallel::SlabConfig config;
+  for (size_t chunks : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    archive::ChunkedConfig config;
     config.threads = threads;
-    config.slabs = slabs;
+    config.chunks = chunks;
 
     WallTimer t;
-    const parallel::SlabCompressResult r = parallel::compress_slabs(
+    const archive::ChunkedCompressResult r = archive::compress_chunked(
         std::span<const float>(d.values), d.dims, params,
         core::Scheme::kEncrHuffman, BytesView(key), {}, config);
     const double secs = t.elapsed_s();
 
-    const std::vector<float> restored = parallel::decompress_slabs_f32(
+    const std::vector<float> restored = archive::decompress_chunked_f32(
         BytesView(r.archive), BytesView(key), config);
     const bool ok = within_abs_bound(std::span<const float>(d.values),
                                      std::span<const float>(restored),
                                      params.abs_error_bound);
-    std::printf("%8zu %10.3f %12.2f %12s\n", r.slab_count,
+    std::printf("%8zu %10.3f %12.2f %12s\n", r.chunk_count,
                 r.stats.compression_ratio(), d.bytes() / 1e6 / secs,
                 ok ? "yes" : "NO");
     if (!ok) return 1;
   }
   std::printf(
-      "\nNote: slabs are independent containers, so CR dips slightly as\n"
-      "the count grows (per-slab Huffman trees, broken cross-slab\n"
+      "\nNote: chunks are independent containers, so CR dips slightly as\n"
+      "the count grows (per-chunk Huffman trees, broken cross-chunk\n"
       "prediction) while wall time scales with available cores.\n");
   return 0;
 }

@@ -37,8 +37,10 @@
 // When stdout carries data, every human-readable report moves to
 // stderr.  Chunked (--chunks) compression and chunked decompression
 // stream: chunks are pulled from the input, coded across --threads
-// workers, and committed to the output in index order, so peak memory
-// is bounded by the in-flight window, not the field size.
+// workers, and committed to the output in index order.  Decompression
+// holds only the in-flight window; compression holds the window plus
+// the compressed archive, whose frames wait in memory until the v3
+// index (which precedes them) can be written.
 //
 // --chunks N writes a fault-tolerant v3 chunked archive (N independent
 // chunks) instead of a single v2 container; --threads N fans the
@@ -93,6 +95,7 @@
 #include "archive/seekable.h"
 #include "archive/verify.h"
 #include "common/bytestream.h"
+#include "common/crc32.h"
 #include "common/hex.h"
 #include "common/io.h"
 #include "core/sansio.h"
@@ -292,7 +295,7 @@ Options parse(int argc, char** argv) {
 // the byte volume through each stage (and the resulting stage ratio).
 // Reports go to `to`: stdout normally, stderr when stdout carries data.
 void print_stage_metrics(std::FILE* to, const char* title,
-                         const StageTimes& times) {
+                         const PipelineMetrics& times) {
   std::fprintf(to, "%s\n", title);
   std::fprintf(to, "  %-18s %10s %12s %12s %8s\n", "stage", "ms",
                "bytes in", "bytes out", "ratio");
@@ -454,8 +457,10 @@ int cmd_compress(const Options& o) {
 
   sansio::Result r;
   if (o.chunks > 0) {
-    // Streaming path: chunks flow input -> context -> output with
-    // memory bounded by the scheduler's in-flight window.
+    // Streaming path: chunks flow input -> context -> output.  The
+    // context holds the in-flight window plus every finished frame
+    // until the v3 index can be written (it has no temp file to spool
+    // through), so memory grows with the compressed archive.
     std::unique_ptr<ByteSource> in;
     if (o.input == "-") {
       in = std::make_unique<FdSource>(0, cli_retry());

@@ -1,5 +1,6 @@
-// Push-driven v3 chunk machines: the one implementation of the chunked
-// archive codec behind every entry point.
+// Push-driven chunk machines: the one implementation of the chunk codec
+// (v3 chunked archives; the encoder also writes v1 slab archives, the
+// same chunks in another framing) behind every entry point.
 //
 // Each machine takes its input as pushes and writes its output to the
 // ByteSink it was built with.  It never reads: it exposes the span it
@@ -30,6 +31,7 @@
 // more it runs on pool workers while commits stay on the caller.
 #pragma once
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -74,6 +76,15 @@ std::string header_mismatch(const Dims& chunk, sz::DType chunk_dtype,
 /// offsets come back absolute.
 std::optional<ChunkIndex> parse_prelude(BytesView prefix, size_t* need);
 
+/// How a field splits along its slowest dimension into chunks: the one
+/// plan behind v3 chunks and v1 slabs.
+struct SlabPlan {
+  size_t count = 0;
+  std::vector<size_t> start;   ///< slowest-dim start per chunk
+  std::vector<size_t> extent;  ///< slowest-dim extent per chunk
+  size_t plane = 0;            ///< elements per slowest-dim index
+};
+
 /// Scratch state owned by one chunk worker: key-schedule cache plus
 /// inflate buffers, reused chunk after chunk without cross-worker locks.
 struct WorkerState {
@@ -97,6 +108,35 @@ std::string decode_chunk(BytesView container, uint64_t row_extent,
                          core::codec::DecodeOptions opts,
                          core::DecompressResult& out,
                          bool* crypto = nullptr);
+
+/// One chunk decode's outcome on a worker: the rows, or why not.
+struct DecodedChunk {
+  std::string error;    ///< decode failure, empty on success
+  bool crypto = false;  ///< the failure was a MAC/cipher rejection
+  core::DecompressResult r;
+};
+
+/// The in-order commit of decoded chunk `i` shared by the v3 and v1
+/// strict decoders: a failure throws as "chunk i: reason" (CryptoError
+/// for a MAC/cipher rejection, else CorruptError), and an element type
+/// other than chunk 0's is CorruptError; otherwise the rows go to `out`,
+/// are counted in `result`, and their stage metrics merge into
+/// `metrics` when it is set.
+void commit_decoded(size_t i, DecodedChunk&& d, ByteSink& out,
+                    ChunkedStreamDecodeResult& result,
+                    PipelineMetrics* metrics);
+
+/// Appends decoded element bytes straight onto a typed field.
+template <typename T>
+class FieldSink final : public ByteSink {
+ public:
+  void write(BytesView data) override {
+    const size_t old = field.size();
+    field.resize(old + data.size() / sizeof(T));
+    std::memcpy(field.data() + old, data.data(), data.size());
+  }
+  std::vector<T> field;
+};
 
 /// The push interface shared by the three machines.
 class ChunkMachine {
@@ -132,10 +172,19 @@ class ChunkMachine {
 /// finish() when the stream ends first, and drains it.
 void drive(ChunkMachine& m, ByteSource& in);
 
-/// v3 encoder: raw little-endian element bytes (dims.count() elements of
-/// `dtype`, row-major) in, the finished archive out.  Frames are staged
-/// in a FrameSpool (ChunkedConfig::spool) until the index can be written
-/// and are then handed to the sink one block per step().  Builds the
+/// The byte layout a ChunkedEncoder puts its chunk containers in.  The
+/// chunks themselves (plan, per-chunk IVs, containers) do not change.
+enum class Framing : uint8_t {
+  kV3Chunked,  ///< index prelude, CRC'd resync frames, seek footer
+  kV1Slab,     ///< the v1 slab archive (archive/slab.h)
+};
+
+/// The chunk encoder: raw little-endian element bytes (dims.count()
+/// elements of `dtype`, row-major) in, the finished archive out.  v3
+/// frames are staged in a FrameSpool (ChunkedConfig::spool) until the
+/// index can be written and are then handed to the sink one block per
+/// step(); v1 needs no index, so each slab goes to the sink, behind its
+/// length, as it commits (the prelude before the first).  Builds the
 /// codec runtime in the constructor, so a bad key/scheme/spec throws
 /// before any input is accepted.
 class ChunkedEncoder final : public ChunkMachine {
@@ -143,7 +192,8 @@ class ChunkedEncoder final : public ChunkMachine {
   ChunkedEncoder(ByteSink& out, sz::DType dtype, const Dims& dims,
                  const sz::Params& params, core::Scheme scheme,
                  BytesView key, const core::CipherSpec& spec,
-                 const ChunkedConfig& config, crypto::CtrDrbg* seed_drbg);
+                 const ChunkedConfig& config, crypto::CtrDrbg* seed_drbg,
+                 Framing framing = Framing::kV3Chunked);
 
   std::span<uint8_t> want() override;
   void filled(size_t n) override { got_ += n; }
@@ -157,7 +207,7 @@ class ChunkedEncoder final : public ChunkMachine {
 
  private:
   struct Product {
-    Bytes frame;
+    Bytes frame;  ///< a v3 frame, or a bare v1 slab container
     core::CompressStats stats;
     PipelineMetrics times;
   };
@@ -166,15 +216,17 @@ class ChunkedEncoder final : public ChunkMachine {
   /// Every chunk's bytes have arrived (the last maybe not yet submitted).
   bool input_complete() const;
   void commit(size_t i, Product&& p);
-  /// Writes the prelude and builds the footer once every chunk committed.
+  /// Ends the stats once every chunk committed; v3 also writes the
+  /// prelude and builds the footer.
   void seal();
 
   CountingSink out_;
   sz::DType dtype_;
   Dims dims_;
+  Framing framing_;
   bool seek_table_;
   core::codec::CodecRuntime runtime_;
-  parallel::SlabPlan plan_;
+  SlabPlan plan_;
   std::vector<crypto::CtrDrbg> drbgs_;
   FrameSpool spool_;
   BufferPool input_pool_;
@@ -188,6 +240,34 @@ class ChunkedEncoder final : public ChunkMachine {
   ChunkedStreamResult result_;
   parallel::ParallelChunkScheduler<Product> sched_;  // last: joins first
 };
+
+/// The in-memory encode behind compress_chunked and compress_slabs: the
+/// whole field fed to one ChunkedEncoder, v3 frames staged in memory.
+template <typename T>
+ChunkedCompressResult compress_in_memory(std::span<const T> data,
+                                         const Dims& dims,
+                                         const sz::Params& params,
+                                         core::Scheme scheme, BytesView key,
+                                         const core::CipherSpec& spec,
+                                         ChunkedConfig config,
+                                         crypto::CtrDrbg* seed_drbg,
+                                         Framing framing) {
+  SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
+  MemorySink sink;
+  config.spool = FrameSpool::Backing::kMemory;
+  ChunkedEncoder m(sink, dtype_of<T>(), dims, params, scheme, key, spec,
+                   config, seed_drbg, framing);
+  m.feed(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
+                   data.size() * sizeof(T)));
+  m.finish();
+  m.drain();
+  ChunkedCompressResult out;
+  out.archive = sink.take();
+  out.chunk_count = m.result().chunk_count;
+  out.stats = m.result().stats;
+  out.times = m.result().times;
+  return out;
+}
 
 /// v3 strict decoder: archive bytes in, the field's raw element bytes out
 /// in chunk-index order.  Any damage throws (CorruptError, or CryptoError
@@ -211,15 +291,9 @@ class ChunkedDecoder final : public ChunkMachine {
   const ChunkedStreamDecodeResult& result() const { return result_; }
 
  private:
-  struct Decoded {
-    std::string error;    ///< decode failure; framing errors throw
-    bool crypto = false;  ///< the failure was a MAC/cipher rejection
-    core::DecompressResult r;
-  };
   /// Every frame's bytes have arrived (the last maybe not yet submitted).
   bool frames_in() const;
   void submit_frame();
-  void commit(size_t i, Decoded&& d);
 
   ByteSink& out_;
   std::optional<sz::DType> expect_;
@@ -235,7 +309,7 @@ class ChunkedDecoder final : public ChunkMachine {
   ChunkedStreamDecodeResult result_;
   BufferPool frame_pool_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  parallel::ParallelChunkScheduler<Decoded> sched_;  // last: joins first
+  parallel::ParallelChunkScheduler<DecodedChunk> sched_;  // last: joins first
 };
 
 /// Where ChunkedSalvager commits recovered rows: whole decoded chunks,

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "archive/chunk_machine.h"
+#include "archive/slab.h"
 #include "common/crc32.h"
 #include "core/codec.h"
 
@@ -67,17 +68,30 @@ size_t find_marker(BytesView archive, size_t pos) {
   return archive.size();
 }
 
-Dims dims_from_extents(const size_t* extents, size_t rank) {
-  switch (rank) {
-    case 1:
-      return Dims{extents[0]};
-    case 2:
-      return Dims{extents[0], extents[1]};
-    case 3:
-      return Dims{extents[0], extents[1], extents[2]};
-    default:
-      return Dims{extents[0], extents[1], extents[2], extents[3]};
+/// Splits `dims` into `chunks` chunks along the slowest dimension (0 =
+/// 2x `threads`, clamped to [1, dims[0]]); extents differ by at most one.
+SlabPlan plan_slabs(const Dims& dims, size_t chunks, size_t threads) {
+  SlabPlan plan;
+  plan.count = std::clamp<size_t>(chunks != 0 ? chunks : 2 * threads, 1,
+                                  dims[0]);
+  plan.plane = dims.count() / dims[0];
+  const size_t base = dims[0] / plan.count;
+  const size_t extra = dims[0] % plan.count;
+  size_t pos = 0;
+  for (size_t i = 0; i < plan.count; ++i) {
+    const size_t e = base + (i < extra ? 1 : 0);
+    plan.start.push_back(pos);
+    plan.extent.push_back(e);
+    pos += e;
   }
+  return plan;
+}
+
+/// Dims of one chunk: `dims` with the slowest extent replaced.
+Dims slab_dims(const Dims& dims, size_t slab_extent) {
+  size_t extents[Dims::kMaxRank] = {slab_extent};
+  for (size_t i = 1; i < dims.rank(); ++i) extents[i] = dims[i];
+  return Dims(std::span<const size_t>(extents, dims.rank()));
 }
 
 /// The cached runtime for the scheme and cipher a chunk header claims.
@@ -189,17 +203,8 @@ ChunkIndex parse_chunk_index(PreludeCursor& r) {
   SZSEC_CHECK_FORMAT(r.get_u32() == kChunkedMagic, "bad archive magic");
   SZSEC_CHECK_FORMAT(r.get_u8() == kChunkedVersion,
                      "unsupported archive version");
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = r.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
   ChunkIndex out;
-  out.dims = dims_from_extents(extents, rank);
+  out.dims = read_dims(r);
   const uint64_t count = r.get_varint();
   SZSEC_CHECK_FORMAT(count >= 1 && count <= out.dims[0],
                      "implausible chunk count");
@@ -370,17 +375,8 @@ SeekTable parse_seek_footer(BytesView footer, uint64_t archive_size) {
                      "unsupported seek footer version");
   const uint8_t dtype_byte = r.get_u8();
   SZSEC_CHECK_FORMAT(dtype_byte <= 1, "bad seek footer dtype");
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = r.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
   SeekTable out;
-  out.dims = dims_from_extents(extents, rank);
+  out.dims = read_dims(r);
   out.dtype = dtype_byte == 0 ? sz::DType::kFloat32 : sz::DType::kFloat64;
   out.from_footer = true;
   out.plane = out.dims.count() / out.dims[0];
@@ -534,19 +530,18 @@ ChunkedEncoder::ChunkedEncoder(ByteSink& out, sz::DType dtype,
                                core::Scheme scheme, BytesView key,
                                const core::CipherSpec& spec,
                                const ChunkedConfig& config,
-                               crypto::CtrDrbg* seed_drbg)
+                               crypto::CtrDrbg* seed_drbg, Framing framing)
     : out_(&out),
       dtype_(dtype),
       dims_(dims),
-      seek_table_(config.seek_table),
+      framing_(framing),
+      seek_table_(config.seek_table && framing == Framing::kV3Chunked),
       runtime_(params, scheme, key, spec),
-      spool_(config.spool),
+      spool_(framing == Framing::kV3Chunked ? config.spool
+                                            : FrameSpool::Backing::kMemory),
       sched_(ChunkSchedulerConfig{config.threads, config.max_in_flight},
              [this](size_t i, Product&& p) { commit(i, std::move(p)); }) {
-  parallel::SlabConfig scfg;
-  scfg.threads = config.threads;
-  scfg.slabs = config.chunks;
-  plan_ = parallel::plan_slabs(dims, scfg, sched_.thread_count());
+  plan_ = plan_slabs(dims, config.chunks, sched_.thread_count());
   // Per-chunk DRBGs are derived serially from the master BEFORE fan-out,
   // so chunk i's IV depends only on its index and the seed — the archive
   // bytes are identical for every thread count.
@@ -587,7 +582,7 @@ bool ChunkedEncoder::step() {
       if (next_ == plan_.count) stage_ = Stage::kCommit;
       sched_.submit([this, i, raw = std::move(raw_)](size_t,
                                                       size_t) mutable {
-        const Dims slab = parallel::slab_dims(dims_, plan_.extent[i]);
+        const Dims slab = slab_dims(dims_, plan_.extent[i]);
         core::CompressResult r =
             dtype_ == sz::DType::kFloat32
                 ? core::codec::encode_payload(
@@ -603,8 +598,10 @@ bool ChunkedEncoder::step() {
                           raw.size() / sizeof(double)),
                       slab, &drbgs_[i]);
         input_pool_.release(std::move(raw));
-        return Product{make_frame(i, plan_.start[i], plan_.extent[i],
-                                  r.container),
+        return Product{framing_ == Framing::kV1Slab
+                           ? std::move(r.container)
+                           : make_frame(i, plan_.start[i], plan_.extent[i],
+                                        r.container),
                        r.stats, std::move(r.times)};
       });
       raw_ = Bytes();
@@ -637,8 +634,22 @@ void ChunkedEncoder::finish() {
 }
 
 void ChunkedEncoder::commit(size_t i, Product&& p) {
-  frame_len_[i] = p.frame.size();
-  spool_.write(BytesView(p.frame));
+  if (framing_ == Framing::kV1Slab) {
+    ByteWriter w;
+    if (i == 0) {
+      w.put_u32(kSlabMagic);
+      w.put_u8(kSlabVersion);
+      w.put_u8(static_cast<uint8_t>(dims_.rank()));
+      for (size_t d = 0; d < dims_.rank(); ++d) w.put_varint(dims_[d]);
+      w.put_varint(plan_.count);
+    }
+    w.put_varint(p.frame.size());
+    out_.write(BytesView(w.bytes()));
+    out_.write(BytesView(p.frame));
+  } else {
+    frame_len_[i] = p.frame.size();
+    spool_.write(BytesView(p.frame));
+  }
   core::CompressStats& s = result_.stats;
   s.raw_bytes += p.stats.raw_bytes;
   s.payload_bytes += p.stats.payload_bytes;
@@ -658,6 +669,8 @@ void ChunkedEncoder::seal() {
       result_.stats.element_count == 0
           ? 0
           : weighted_predictable_ / result_.stats.element_count;
+  stage_ = Stage::kFrames;
+  if (framing_ == Framing::kV1Slab) return;  // every slab is out already
   ByteWriter w;
   w.put_u32(kChunkedMagic);
   w.put_u8(kChunkedVersion);
@@ -705,7 +718,6 @@ void ChunkedEncoder::seal() {
     footer_ = fw.take();
   }
   out_.write(BytesView(prelude));
-  stage_ = Stage::kFrames;
 }
 
 ChunkedStreamResult compress_chunked_stream(
@@ -719,35 +731,6 @@ ChunkedStreamResult compress_chunked_stream(
   return m.result();
 }
 
-namespace {
-
-template <typename T>
-ChunkedCompressResult compress_in_memory(std::span<const T> data,
-                                         const Dims& dims,
-                                         const sz::Params& params,
-                                         core::Scheme scheme, BytesView key,
-                                         const core::CipherSpec& spec,
-                                         ChunkedConfig config,
-                                         crypto::CtrDrbg* seed_drbg) {
-  SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
-  MemorySink sink;
-  config.spool = FrameSpool::Backing::kMemory;
-  ChunkedEncoder m(sink, dtype_of<T>(), dims, params, scheme, key, spec,
-                   config, seed_drbg);
-  m.feed(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
-                   data.size() * sizeof(T)));
-  m.finish();
-  m.drain();
-  ChunkedCompressResult out;
-  out.archive = sink.take();
-  out.chunk_count = m.result().chunk_count;
-  out.stats = m.result().stats;
-  out.times = m.result().times;
-  return out;
-}
-
-}  // namespace
-
 ChunkedCompressResult compress_chunked(std::span<const float> data,
                                        const Dims& dims,
                                        const sz::Params& params,
@@ -756,7 +739,7 @@ ChunkedCompressResult compress_chunked(std::span<const float> data,
                                        const ChunkedConfig& config,
                                        crypto::CtrDrbg* seed_drbg) {
   return compress_in_memory(data, dims, params, scheme, key, spec, config,
-                            seed_drbg);
+                            seed_drbg, Framing::kV3Chunked);
 }
 
 ChunkedCompressResult compress_chunked(std::span<const double> data,
@@ -767,7 +750,7 @@ ChunkedCompressResult compress_chunked(std::span<const double> data,
                                        const ChunkedConfig& config,
                                        crypto::CtrDrbg* seed_drbg) {
   return compress_in_memory(data, dims, params, scheme, key, spec, config,
-                            seed_drbg);
+                            seed_drbg, Framing::kV3Chunked);
 }
 
 // ---------------------------------------------------------------------
@@ -781,7 +764,9 @@ ChunkedDecoder::ChunkedDecoder(ByteSink& out, BytesView key,
       metrics_(config.metrics),
       prelude_need_(kMinPrelude),
       sched_(ChunkSchedulerConfig{config.threads, config.max_in_flight},
-             [this](size_t i, Decoded&& d) { commit(i, std::move(d)); }) {
+             [this](size_t i, DecodedChunk&& d) {
+               commit_decoded(i, std::move(d), out_, result_, metrics_);
+             }) {
   workers_ = make_worker_states(sched_.thread_count(), key);
 }
 
@@ -877,7 +862,7 @@ void ChunkedDecoder::submit_frame() {
     SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
     // Decode failures are error *values*; the commit turns them into
     // "chunk i: reason" in index order.
-    Decoded d;
+    DecodedChunk d;
     d.error = decode_chunk(f->container, f->row_extent, index_->dims,
                            expect_, *workers_[worker], {}, d.r, &d.crypto);
     frame_pool_.release(std::move(frame));
@@ -887,23 +872,25 @@ void ChunkedDecoder::submit_frame() {
   frame_got_ = 0;
 }
 
-void ChunkedDecoder::commit(size_t i, Decoded&& d) {
+void commit_decoded(size_t i, DecodedChunk&& d, ByteSink& out,
+                    ChunkedStreamDecodeResult& result,
+                    PipelineMetrics* metrics) {
   if (!d.error.empty()) {
     const std::string msg = "chunk " + std::to_string(i) + ": " + d.error;
     if (d.crypto) throw CryptoError(msg);
     throw CorruptError(msg);
   }
   if (i == 0) {
-    result_.dtype = d.r.dtype;
-  } else if (d.r.dtype != result_.dtype) {
+    result.dtype = d.r.dtype;
+  } else if (d.r.dtype != result.dtype) {
     throw CorruptError("chunk " + std::to_string(i) +
                        ": container dtype mismatch");
   }
   const BytesView bytes = element_bytes(d.r);
-  out_.write(bytes);
-  result_.elements += bytes.size() / sz::dtype_size(d.r.dtype);
-  result_.element_bytes += bytes.size();
-  if (metrics_ != nullptr) metrics_->merge(d.r.times);
+  out.write(bytes);
+  result.elements += bytes.size() / sz::dtype_size(d.r.dtype);
+  result.element_bytes += bytes.size();
+  if (metrics != nullptr) metrics->merge(d.r.times);
 }
 
 ChunkedStreamDecodeResult decompress_chunked_stream(
@@ -915,18 +902,6 @@ ChunkedStreamDecodeResult decompress_chunked_stream(
 }
 
 namespace {
-
-/// Appends decoded element bytes straight onto a typed field.
-template <typename T>
-class FieldSink final : public ByteSink {
- public:
-  void write(BytesView data) override {
-    const size_t old = field.size();
-    field.resize(old + data.size() / sizeof(T));
-    std::memcpy(field.data() + old, data.data(), data.size());
-  }
-  std::vector<T> field;
-};
 
 template <typename T>
 std::vector<T> decode_field(BytesView archive, BytesView key,
@@ -1358,7 +1333,7 @@ void ChunkedSalvager::seal() {
   } else if (field_dims_) {
     // No index: the expectation is rebuilt from the recovered frames, and
     // each row gap before one is reported as a missing chunk.
-    result_.dims = parallel::slab_dims(*field_dims_, static_cast<size_t>(rows));
+    result_.dims = slab_dims(*field_dims_, static_cast<size_t>(rows));
     uint64_t next_id = 0;
     uint64_t row = 0;
     for (const auto& [id, c] : claims_) {

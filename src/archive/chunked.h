@@ -3,10 +3,12 @@
 // The single-container pipeline assumes its bytes arrive intact: one
 // flipped bit in a CBC block or in the Huffman tree loses the whole
 // field.  This module bounds the blast radius of corruption to one
-// chunk.  A field is split into independent slabs (the same planning as
-// src/parallel), each compressed + encrypted as a self-contained szsec
+// chunk.  A field is split along its slowest dimension into independent
+// chunks, each compressed + encrypted as a self-contained szsec
 // container with its own IV, and framed with a resync marker and a
 // CRC-32 so damage is detected per chunk and the decoder can skip it.
+// The v1 slab archive (archive/slab.h) is the same chunks in another
+// framing.
 //
 // Archive layout (v3):
 //   u32 magic "SZS3" | u8 version=3 | u8 rank | varint dims[rank]
@@ -76,7 +78,6 @@
 #include "common/io.h"
 #include "common/timer.h"
 #include "core/codec.h"
-#include "parallel/slab.h"
 
 namespace szsec::archive {
 
@@ -135,7 +136,7 @@ struct ChunkedCompressResult {
 };
 
 /// Compresses `data` into a fault-tolerant chunked archive.  Parameters
-/// mirror parallel::compress_slabs; every chunk gets its own IV from
+/// mirror core::SecureCompressor; every chunk gets its own IV from
 /// `seed_drbg` (or the global DRBG).
 ChunkedCompressResult compress_chunked(std::span<const float> data,
                                        const Dims& dims,

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "common/error.h"
@@ -20,7 +21,10 @@ class Dims {
 
   Dims() = default;
 
-  Dims(std::initializer_list<size_t> extents) {
+  Dims(std::initializer_list<size_t> extents)
+      : Dims(std::span<const size_t>(extents.begin(), extents.size())) {}
+
+  explicit Dims(std::span<const size_t> extents) {
     SZSEC_REQUIRE(extents.size() >= 1 && extents.size() <= kMaxRank,
                   "rank must be 1..4");
     rank_ = extents.size();
@@ -105,6 +109,23 @@ inline uint64_t checked_field_elements(const size_t* extents, size_t rank) {
     total *= e;
   }
   return total;
+}
+
+/// Reads a u8 rank and that many varint extents of an untrusted header
+/// through `r` (any reader with get_u8 and get_varint), checked as
+/// checked_field_elements checks them.
+template <typename Reader>
+Dims read_dims(Reader& r) {
+  const uint8_t rank = r.get_u8();
+  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
+  size_t extents[Dims::kMaxRank] = {};
+  for (size_t i = 0; i < rank; ++i) {
+    const uint64_t e = r.get_varint();
+    SZSEC_CHECK_FORMAT(e > 0 && e <= Dims::kMaxExtent, "bad extent");
+    extents[i] = static_cast<size_t>(e);
+  }
+  checked_field_elements(extents, rank);
+  return Dims(std::span<const size_t>(extents, rank));
 }
 
 }  // namespace szsec

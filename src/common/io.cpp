@@ -10,7 +10,6 @@
 #else
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -504,48 +503,6 @@ void AtomicFileSink::discard() noexcept {
     temp_path_.clear();
   }
 #endif
-}
-
-// ---------------------------------------------------------------------
-// MmapSource
-
-MmapSource::MmapSource(const std::string& path) {
-#ifdef _WIN32
-  throw IoError("mmap sources are not supported on this platform");
-#else
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw errno_error("cannot open " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw errno_error("cannot stat " + path);
-  }
-  size_ = static_cast<size_t>(st.st_size);
-  if (size_ > 0) {
-    void* p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (p == MAP_FAILED) {
-      ::close(fd);
-      throw errno_error("cannot mmap " + path);
-    }
-    data_ = static_cast<const uint8_t*>(p);
-  }
-  ::close(fd);
-#endif
-}
-
-MmapSource::~MmapSource() {
-#ifndef _WIN32
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-#endif
-}
-
-size_t MmapSource::read(std::span<uint8_t> out) {
-  const size_t n = std::min(out.size(), size_ - pos_);
-  if (n > 0) std::memcpy(out.data(), data_ + pos_, n);
-  pos_ += n;
-  return n;
 }
 
 // ---------------------------------------------------------------------

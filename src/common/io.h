@@ -4,14 +4,14 @@
 // A ByteSource yields bytes in order (short reads allowed at any time);
 // a ByteSink accepts bytes in order.  The codec layers above are written
 // against these two interfaces only, so the same encode/decode path
-// serves an in-memory buffer, a file, a pipe, or an mmapped region —
-// and the streaming chunked codec (src/archive) keeps peak memory at
+// serves an in-memory buffer, a file, a pipe, or a socket — and the
+// streaming chunked codec (src/archive) keeps peak memory at
 // O(chunk_size x max_in_flight) regardless of input size, because no
 // layer below it ever asks for "the whole thing" (see
 // docs/ARCHITECTURE.md, "Streaming & memory model").
 //
-// Adapters compose: CountingSink/Crc32Sink wrap another sink to observe
-// the stream, ChokedSource throttles reads (the proptest oracle uses a
+// Adapters compose: CountingSink wraps another sink to count the
+// stream, ChokedSource throttles reads (the proptest oracle uses a
 // 1-byte dribble to prove decoders tolerate arbitrary short reads),
 // ConcatSource replays already-consumed prefix bytes (magic sniffing on
 // unseekable pipes).  FrameSpool buffers a byte stream whose total
@@ -41,7 +41,6 @@
 #include <string>
 
 #include "common/bytestream.h"
-#include "common/crc32.h"
 #include "common/error.h"
 
 namespace szsec {
@@ -361,7 +360,7 @@ class FdSink final : public ByteSink {
 /// a crash, an exception, or discard() can never leave a torn archive
 /// where a complete one used to be: readers see the complete old file
 /// or the complete new file, never a partial.  Destruction without
-/// commit() unlinks the temp file.  POSIX-only (like MmapSource).
+/// commit() unlinks the temp file.  POSIX-only.
 class AtomicFileSink final : public ByteSink {
  public:
   /// Creates the temp file next to `path`; throws IoError on failure.
@@ -395,40 +394,6 @@ class AtomicFileSink final : public ByteSink {
   bool committed_ = false;
 };
 
-/// Memory-maps a whole file read-only.  Doubles as a ByteSource and as a
-/// zero-copy BytesView provider for the in-memory decode APIs, so
-/// archives larger than the page cache can be decoded without a
-/// read-everything copy.
-class MmapSource final : public ByteSource {
- public:
-  /// Maps `path`; throws IoError when the file cannot be opened or
-  /// mapped (empty files map to an empty view).
-  explicit MmapSource(const std::string& path);
-  ~MmapSource() override;
-
-  MmapSource(const MmapSource&) = delete;
-  MmapSource& operator=(const MmapSource&) = delete;
-
-  size_t read(std::span<uint8_t> out) override;
-
-  bool seekable() const override { return true; }
-  uint64_t size() const override { return size_; }
-  size_t pread(uint64_t offset, std::span<uint8_t> out) override {
-    if (offset >= size_ || out.empty()) return 0;
-    const size_t n = std::min<uint64_t>(out.size(), size_ - offset);
-    std::memcpy(out.data(), data_ + offset, n);
-    return n;
-  }
-
-  /// The whole mapping (valid while this object lives).
-  BytesView view() const { return BytesView(data_, size_); }
-
- private:
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  size_t pos_ = 0;
-};
-
 // ---------------------------------------------------------------------
 // Adapters
 
@@ -453,48 +418,6 @@ class CountingSink final : public ByteSink {
 
  private:
   ByteSink* inner_;
-  uint64_t count_ = 0;
-};
-
-/// Forwards to an inner sink (optional) while maintaining a running
-/// CRC-32 of everything written.
-class Crc32Sink final : public ByteSink {
- public:
-  explicit Crc32Sink(ByteSink* inner = nullptr) : inner_(inner) {}
-
-  void write(BytesView data) override {
-    crc_ = crc32(data, crc_);
-    if (inner_ != nullptr) inner_->write(data);
-  }
-  void flush() override {
-    if (inner_ != nullptr) inner_->flush();
-  }
-  void sync() override {
-    if (inner_ != nullptr) inner_->sync();
-  }
-
-  uint32_t crc() const { return crc_; }
-
- private:
-  ByteSink* inner_;
-  uint32_t crc_ = 0;
-};
-
-/// Counts bytes read through an inner source.
-class CountingSource final : public ByteSource {
- public:
-  explicit CountingSource(ByteSource& inner) : inner_(inner) {}
-
-  size_t read(std::span<uint8_t> out) override {
-    const size_t n = inner_.read(out);
-    count_ += n;
-    return n;
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  ByteSource& inner_;
   uint64_t count_ = 0;
 };
 
@@ -617,7 +540,7 @@ class RetrySink final : public ByteSink {
 };
 
 // ---------------------------------------------------------------------
-// Sockets (POSIX-only, like MmapSource/AtomicFileSink)
+// Sockets (POSIX-only, like AtomicFileSink)
 
 /// RAII owner of a POSIX file descriptor.  Moves transfer ownership;
 /// destruction closes.  The archive service's socket plumbing hands

@@ -71,9 +71,8 @@ struct StageMetric {
 /// Accumulates per-stage metrics (prediction, quantization, huffman,
 /// encryption, lossless, ...) across one compression run: durations for
 /// the paper's Figure 7 time breakdown plus bytes-in/bytes-out recorded
-/// by every codec stage.  The time-only interface (add/get/total) is the
-/// original StageTimes API; byte accounting arrived with the stage-graph
-/// codec and is optional for callers that only time.
+/// by every codec stage.  Byte accounting is optional for callers that
+/// only time (add/get/total).
 class PipelineMetrics {
  public:
   void add(const std::string& stage, double seconds) {
@@ -124,15 +123,12 @@ class PipelineMetrics {
   std::map<std::string, StageMetric> stages_;
 };
 
-/// Original name of the time-only sink; PipelineMetrics is a superset.
-using StageTimes = PipelineMetrics;
-
-/// RAII helper that adds the scope's duration to a StageTimes entry.
+/// RAII helper that adds the scope's duration to a PipelineMetrics entry.
 /// A null sink disables timing with no branch in the hot path besides
 /// the destructor check.
 class ScopedStageTimer {
  public:
-  ScopedStageTimer(StageTimes* sink, std::string stage)
+  ScopedStageTimer(PipelineMetrics* sink, std::string stage)
       : sink_(sink), stage_(std::move(stage)) {}
 
   ScopedStageTimer(const ScopedStageTimer&) = delete;
@@ -143,7 +139,7 @@ class ScopedStageTimer {
   }
 
  private:
-  StageTimes* sink_;
+  PipelineMetrics* sink_;
   std::string stage_;
   WallTimer timer_;
 };

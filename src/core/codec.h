@@ -2,11 +2,11 @@
 //
 // encode_payload() runs a scheme's stage chain (core/stage.h) forward
 // and frames the result as a v2 container; decode_payload() parses the
-// framing and runs the chain in reverse.  The SecureCompressor facade,
-// the slab-parallel archive (src/parallel) and the fault-tolerant
-// chunked archive (src/archive) all call these two functions — a v2
-// container and a v3 chunk are the same codec invoked with different
-// framing, so format and scheme logic exist exactly once.
+// framing and runs the chain in reverse.  The SecureCompressor facade
+// and the chunk codec of src/archive (v3 chunked archives and v1 slab
+// archives) all call these two functions — a v2 container, a v3 chunk
+// and a v1 slab are the same codec invoked with different framing, so
+// format and scheme logic exist exactly once.
 //
 // Ownership/zero-copy rules (see also DESIGN.md section 6):
 //  * decode_payload borrows `container` for the whole call; blobs are

@@ -8,6 +8,7 @@
 // payload, mirroring how the paper's modified SZ-1.4 lays out its buffer.
 #pragma once
 
+#include <cmath>
 #include <optional>
 
 #include "common/bytestream.h"
@@ -97,30 +98,13 @@ inline Header read_header(ByteReader& reader) {
   const uint8_t dtype = reader.get_u8();
   SZSEC_CHECK_FORMAT(dtype <= 1, "unknown dtype");
   h.dtype = static_cast<sz::DType>(dtype);
-  const uint8_t rank = reader.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = reader.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= Dims::kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
-  switch (rank) {
-    case 1:
-      h.dims = Dims{extents[0]};
-      break;
-    case 2:
-      h.dims = Dims{extents[0], extents[1]};
-      break;
-    case 3:
-      h.dims = Dims{extents[0], extents[1], extents[2]};
-      break;
-    default:
-      h.dims = Dims{extents[0], extents[1], extents[2], extents[3]};
-  }
+  h.dims = read_dims(reader);
   h.params.abs_error_bound = reader.get_f64();
-  SZSEC_CHECK_FORMAT(h.params.abs_error_bound > 0, "bad error bound");
+  // +inf would pass a plain `> 0` and overflow the unpredictable-value
+  // coder's exponent arithmetic; NaN fails the comparison.
+  SZSEC_CHECK_FORMAT(std::isfinite(h.params.abs_error_bound) &&
+                         h.params.abs_error_bound > 0,
+                     "bad error bound (must be finite and positive)");
   h.params.quant_bins = reader.get_u32();
   SZSEC_CHECK_FORMAT(
       h.params.quant_bins >= 4 && h.params.quant_bins % 2 == 0,

@@ -4,8 +4,8 @@
 #include <deque>
 
 #include "archive/chunk_machine.h"
+#include "archive/slab.h"
 #include "core/container.h"
-#include "parallel/slab.h"
 
 namespace szsec::sansio {
 namespace {
@@ -44,11 +44,12 @@ class OutputQueue final : public ByteSink {
 }  // namespace
 
 // The machine runs on the caller: every call does its work before it
-// returns.  A v3 Context drives the archive's push-driven chunk machine
-// (archive/chunk_machine.h), feeding caller bytes only while no output is
-// pending, so it holds at most one commit's output.  v1/v2 are one-shot
-// formats: the Context buffers the field (encode) or container (decode)
-// and runs the codec once the field is complete or at finish().
+// returns.  A v3 Context, and a v1 encoder, drive the archive's
+// push-driven chunk machines (archive/chunk_machine.h), feeding caller
+// bytes only while no output is pending, so they hold at most one
+// commit's output.  v2 and v1 decode are one-shot: the Context buffers
+// the field (v2 encode) or container (decode) and runs the codec once
+// the field is complete or at finish().
 struct Context::Impl {
   bool is_encoder = false;
   EncoderConfig enc;
@@ -57,20 +58,20 @@ struct Context::Impl {
   OutputQueue out;
   /// Context-private IV generator (encode with drbg_seed).
   std::optional<crypto::CtrDrbg> drbg;
-  /// v1/v2 encode: the codec runtime, built (and the config validated)
-  /// at construction.
+  /// v2 encode: the codec runtime, built (and the config validated) at
+  /// construction.
   std::optional<core::codec::CodecRuntime> runtime;
-  /// v1/v2: the buffered field (encode) or container (decode).
+  /// The buffered field (v2 encode) or container (one-shot decode).
   Bytes buf;
   uint64_t expected_in = 0;  ///< encoder: declared field byte count
   std::unique_ptr<archive::StreamRowSink> salvage_rows;  ///< v3 salvage
-  std::unique_ptr<archive::ChunkMachine> machine;  ///< v3 only
+  std::unique_ptr<archive::ChunkMachine> machine;  ///< v3, v1 encode
   archive::ChunkedEncoder* encoder = nullptr;
   archive::ChunkedDecoder* decoder = nullptr;
   archive::ChunkedSalvager* salvager = nullptr;
 
   bool finished = false;  ///< finish() was called
-  bool ran = false;       ///< v1/v2: the one-shot codec ran
+  bool ran = false;       ///< the one-shot codec ran
   bool dead = false;      ///< an error already surfaced
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
@@ -119,7 +120,7 @@ size_t Context::Impl::accept(BytesView in) {
       taken += n;
       continue;
     }
-    // v1/v2, or a decoder still sniffing the magic: buffer.
+    // One-shot formats, or a decoder still sniffing the magic: buffer.
     size_t n = in.size() - taken;
     if (!is_encoder && buf.size() < sizeof(uint32_t)) {
       n = std::min(n, sizeof(uint32_t) - buf.size());
@@ -162,33 +163,20 @@ void Context::Impl::start_decoder() {
 void Context::Impl::encode_oneshot() {
   crypto::CtrDrbg* iv = drbg ? &*drbg : nullptr;
   const size_t n = enc.dims.count();
-  const auto* f32 = reinterpret_cast<const float*>(buf.data());
-  const auto* f64 = reinterpret_cast<const double*>(buf.data());
-  const bool single = enc.dtype == sz::DType::kFloat32;
-  if (enc.container == Container::kV2Single) {
-    const core::CompressResult res =
-        single ? core::codec::encode_payload_to(
-                     runtime->config(), out, std::span<const float>(f32, n),
-                     enc.dims, iv)
-               : core::codec::encode_payload_to(
-                     runtime->config(), out,
-                     std::span<const double>(f64, n), enc.dims, iv);
-    result.stats = res.stats;
-    result.times = res.times;
-  } else {
-    parallel::SlabConfig sc;
-    sc.threads = enc.threads;
-    sc.slabs = enc.chunks;
-    const parallel::SlabCompressResult res =
-        single ? parallel::compress_slabs_to(
-                     out, std::span<const float>(f32, n), enc.dims,
-                     enc.params, enc.scheme, enc.key, enc.spec, sc, iv)
-               : parallel::compress_slabs_to(
-                     out, std::span<const double>(f64, n), enc.dims,
-                     enc.params, enc.scheme, enc.key, enc.spec, sc, iv);
-    result.chunk_count = res.slab_count;
-    result.stats = res.stats;
-  }
+  const core::CompressResult res =
+      enc.dtype == sz::DType::kFloat32
+          ? core::codec::encode_payload_to(
+                runtime->config(), out,
+                std::span<const float>(
+                    reinterpret_cast<const float*>(buf.data()), n),
+                enc.dims, iv)
+          : core::codec::encode_payload_to(
+                runtime->config(), out,
+                std::span<const double>(
+                    reinterpret_cast<const double*>(buf.data()), n),
+                enc.dims, iv);
+  result.stats = res.stats;
+  result.times = res.times;
   buf = Bytes();
   ran = true;
 }
@@ -212,41 +200,17 @@ void Context::Impl::decode_oneshot() {
     result.elements = res.dims.count();
     result.times = res.times;
     out.write(archive::element_bytes(res));
-  } else if (magic == parallel::kArchiveMagic) {
-    const Dims dims = parallel::archive_dims(buf);
-    // The archive prelude carries no dtype; the first slab's container
-    // header does.  Walk to it (decompress_slabs_* re-validates all of
-    // this strictly).
-    ByteReader pr(buf);
-    pr.get_u32();  // magic
-    pr.get_u8();   // version
-    const uint8_t rank = pr.get_u8();
-    SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-    for (uint8_t i = 0; i < rank; ++i) pr.get_varint();
-    const uint64_t slabs = pr.get_varint();
-    SZSEC_CHECK_FORMAT(slabs >= 1, "empty slab archive");
-    const uint64_t len = pr.get_varint();
-    SZSEC_CHECK_FORMAT(len <= pr.remaining(), "slab length exceeds archive");
-    const core::Header h0 =
-        core::peek_header(pr.get_bytes(static_cast<size_t>(len)));
-    parallel::SlabConfig sc;
-    sc.threads = dec.threads;
+  } else if (magic == archive::kSlabMagic) {
+    archive::ChunkedConfig cc;
+    cc.threads = dec.threads;
+    cc.metrics = &result.times;
+    const archive::ChunkedStreamDecodeResult r =
+        archive::decompress_slabs_to(buf, out, dec.key, cc);
     result.container = Container::kV1Slab;
-    result.dims = dims;
-    result.dtype = h0.dtype;
-    result.elements = dims.count();
-    result.chunk_count = static_cast<size_t>(slabs);
-    if (h0.dtype == sz::DType::kFloat32) {
-      const std::vector<float> field =
-          parallel::decompress_slabs_f32(buf, dec.key, sc);
-      out.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                          field.size() * sizeof(float)));
-    } else {
-      const std::vector<double> field =
-          parallel::decompress_slabs_f64(buf, dec.key, sc);
-      out.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                          field.size() * sizeof(double)));
-    }
+    result.dims = r.dims;
+    result.dtype = r.dtype;
+    result.elements = r.elements;
+    result.chunk_count = r.chunk_count;
   } else {
     throw CorruptError("unknown container magic");
   }
@@ -295,7 +259,7 @@ std::unique_ptr<Context> Context::encoder(EncoderConfig config) {
   s.result.elements = s.enc.dims.count();
   // Building the codec (runtime or chunk machine) validates the key,
   // scheme and spec: a misconfigured context never accepts a byte.
-  if (s.enc.container == Container::kV3Chunked) {
+  if (s.enc.container != Container::kV2Single) {
     archive::ChunkedConfig cc;
     cc.threads = s.enc.threads;
     cc.chunks = s.enc.chunks;
@@ -305,7 +269,9 @@ std::unique_ptr<Context> Context::encoder(EncoderConfig config) {
     cc.seek_table = s.enc.seek_table;
     auto m = std::make_unique<archive::ChunkedEncoder>(
         s.out, s.enc.dtype, s.enc.dims, s.enc.params, s.enc.scheme,
-        s.enc.key, s.enc.spec, cc, s.drbg ? &*s.drbg : nullptr);
+        s.enc.key, s.enc.spec, cc, s.drbg ? &*s.drbg : nullptr,
+        s.enc.container == Container::kV1Slab ? archive::Framing::kV1Slab
+                                              : archive::Framing::kV3Chunked);
     s.encoder = m.get();
     s.machine = std::move(m);
   } else {

@@ -30,10 +30,11 @@
 //   }
 //
 // Every path runs the library's one implementation of its format: a v3
-// Context pushes bytes through the same chunk machines the streaming
-// and in-memory archive APIs drive (archive/chunk_machine.h), and v2/v1
-// run the one-shot codec (codec::encode_payload_to / decode_payload,
-// compress_slabs_to / decompress_slabs_*) — so every byte a Context
+// Context, and a v1 encoder, push bytes through the same chunk machines
+// the streaming and in-memory archive APIs drive
+// (archive/chunk_machine.h); v2 runs the one-shot codec
+// (codec::encode_payload_to / decode_payload) and a v1 decode the one
+// slab decoder (archive::decompress_slabs_to) — so every byte a Context
 // emits is identical to the in-memory and streaming APIs (the
 // golden-container pins hold by construction).  Decoding sniffs the
 // container kind from the first four bytes: v1 slab, v2 single, and v3
@@ -45,8 +46,9 @@
 // bounded blocks.  A v3 encode stages its frames in memory until the
 // index is written (the index precedes the frames and the context has
 // no temp file to spool through), then hands them out one at a time as
-// they are pulled, freeing each — it never holds the archive twice.
-// v2/v1 are one-shot formats and buffer one whole field/container.
+// they are pulled, freeing each — it never holds the archive twice.  A
+// v1 encode needs no index and holds the in-flight window only.  v2,
+// and v1 decode, buffer one whole field/container.
 //
 // Concurrency: there is no driver thread.  feed/pull/finish/status do
 // their work on the calling thread before they return, so the machine
@@ -91,7 +93,7 @@ enum class Status : uint8_t {
 enum class Container : uint8_t {
   kV2Single = 0,   ///< one szsec container (core/container.h)
   kV3Chunked = 1,  ///< fault-tolerant chunked archive (archive/chunked.h)
-  kV1Slab = 2,     ///< slab archive (parallel/slab.h)
+  kV1Slab = 2,     ///< slab archive (archive/slab.h)
 };
 
 /// Everything an encoding Context needs.  The input stream is raw

@@ -13,11 +13,11 @@
 // SecureCompressor is a thin facade: it owns a codec::CodecRuntime (key
 // schedules, MAC key) plus a DRBG pointer and forwards every call to the
 // shared codec::encode_payload / codec::decode_payload drivers in
-// core/codec.h.  The parallel slab archive (src/parallel) and the
-// fault-tolerant chunked archive (src/archive) call those drivers
-// directly — all three produce and consume the same per-field bytes —
-// and the chunked archive additionally runs them chunk-parallel with
-// byte-identical output (see docs/ARCHITECTURE.md).
+// core/codec.h.  The chunk codec of src/archive (fault-tolerant v3
+// chunked archives, and v1 slab archives in another framing) calls
+// those drivers directly — all produce and consume the same per-field
+// bytes — and runs them chunk-parallel with byte-identical output (see
+// docs/ARCHITECTURE.md).
 //
 // Thread-safety: a SecureCompressor is immutable apart from its DRBG; use
 // one instance per thread or supply distinct DRBGs.

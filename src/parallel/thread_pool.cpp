@@ -75,26 +75,4 @@ void ThreadPool::worker_loop(size_t index) {
   }
 }
 
-void parallel_for(ThreadPool& pool, size_t n,
-                  const std::function<void(size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([i, &fn] { fn(i); }));
-  }
-  // Wait for EVERY task before returning — queued tasks reference `fn`
-  // (and the caller's captures), so an early rethrow would leave workers
-  // touching out-of-scope state.  The first exception is re-raised after
-  // the barrier.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 }  // namespace szsec::parallel

@@ -67,9 +67,4 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs fn(i) for i in [0, n) across `pool`, blocking until all complete.
-/// The first task exception (if any) is rethrown on the caller.
-void parallel_for(ThreadPool& pool, size_t n,
-                  const std::function<void(size_t)>& fn);
-
 }  // namespace szsec::parallel

@@ -127,20 +127,7 @@ JobRequest parse_request(BytesView body) {
       extents[i] = static_cast<size_t>(r.get_varint());
     }
     checked_field_elements(extents, rank);  // caps + overflow guard
-    switch (rank) {
-      case 1:
-        req.dims = Dims{extents[0]};
-        break;
-      case 2:
-        req.dims = Dims{extents[0], extents[1]};
-        break;
-      case 3:
-        req.dims = Dims{extents[0], extents[1], extents[2]};
-        break;
-      default:
-        req.dims = Dims{extents[0], extents[1], extents[2], extents[3]};
-        break;
-    }
+    req.dims = Dims(std::span<const size_t>(extents, rank));
     req.have_dims = true;
   }
   req.error_bound = std::bit_cast<double>(r.get_u64());

@@ -313,7 +313,7 @@ void decode_volume(T* out, size_t nz, size_t ny, size_t nx,
 template <typename T>
 QuantizedField predict_quantize_impl(std::span<const T> data,
                                      const Dims& dims, const Params& raw,
-                                     StageTimes* times) {
+                                     PipelineMetrics* times) {
   SZSEC_REQUIRE(data.size() == dims.count(),
                 "data size does not match dims");
   SZSEC_REQUIRE(raw.quant_bins >= 4 && raw.quant_bins % 2 == 0,
@@ -378,7 +378,7 @@ template <typename T>
 void reconstruct_impl(const Params& params, const Dims& dims,
                       std::span<const uint32_t> codes, BytesView unpredictable,
                       BytesView side_info, std::span<T> out,
-                      StageTimes* times) {
+                      PipelineMetrics* times) {
   SZSEC_REQUIRE(out.size() == dims.count(), "output size mismatch");
   SZSEC_CHECK_FORMAT(codes.size() == dims.count(),
                      "code count does not match dims");
@@ -407,13 +407,13 @@ void reconstruct_impl(const Params& params, const Dims& dims,
 }  // namespace
 
 QuantizedField predict_quantize(std::span<const float> data, const Dims& dims,
-                                const Params& params, StageTimes* times) {
+                                const Params& params, PipelineMetrics* times) {
   return predict_quantize_impl(data, dims, params, times);
 }
 
 QuantizedField predict_quantize(std::span<const double> data,
                                 const Dims& dims, const Params& params,
-                                StageTimes* times) {
+                                PipelineMetrics* times) {
   return predict_quantize_impl(data, dims, params, times);
 }
 
@@ -450,7 +450,7 @@ std::vector<uint64_t> block_scan_order(const Dims& dims,
 }
 
 EncodedQuant huffman_encode_codes(const QuantizedField& q,
-                                  StageTimes* times) {
+                                  PipelineMetrics* times) {
   ScopedStageTimer timer(times, "huffman");
   EncodedQuant e;
   e.symbol_count = q.codes.size();
@@ -464,7 +464,7 @@ EncodedQuant huffman_encode_codes(const QuantizedField& q,
 
 std::vector<uint32_t> huffman_decode_codes(BytesView tree, BytesView codewords,
                                            uint64_t count,
-                                           StageTimes* times) {
+                                           PipelineMetrics* times) {
   ScopedStageTimer timer(times, "huffman");
   if (count == 0) return {};
   // Every symbol takes at least one bit, so the stream holds at most
@@ -477,14 +477,14 @@ std::vector<uint32_t> huffman_decode_codes(BytesView tree, BytesView codewords,
 void reconstruct(const Params& params, const Dims& dims,
                  std::span<const uint32_t> codes, BytesView unpredictable,
                  BytesView side_info, std::span<float> out,
-                 StageTimes* times) {
+                 PipelineMetrics* times) {
   reconstruct_impl(params, dims, codes, unpredictable, side_info, out, times);
 }
 
 void reconstruct(const Params& params, const Dims& dims,
                  std::span<const uint32_t> codes, BytesView unpredictable,
                  BytesView side_info, std::span<double> out,
-                 StageTimes* times) {
+                 PipelineMetrics* times) {
   reconstruct_impl(params, dims, codes, unpredictable, side_info, out, times);
 }
 

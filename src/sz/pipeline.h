@@ -53,31 +53,31 @@ struct EncodedQuant {
 /// recorded as "predict+quantize").
 QuantizedField predict_quantize(std::span<const float> data, const Dims& dims,
                                 const Params& params,
-                                StageTimes* times = nullptr);
+                                PipelineMetrics* times = nullptr);
 QuantizedField predict_quantize(std::span<const double> data,
                                 const Dims& dims, const Params& params,
-                                StageTimes* times = nullptr);
+                                PipelineMetrics* times = nullptr);
 
 /// Stage 3: builds the Huffman code table from the code histogram and
 /// encodes the code stream.
 EncodedQuant huffman_encode_codes(const QuantizedField& q,
-                                  StageTimes* times = nullptr);
+                                  PipelineMetrics* times = nullptr);
 
 /// Stage 3 inverse.
 std::vector<uint32_t> huffman_decode_codes(BytesView tree, BytesView codewords,
                                            uint64_t count,
-                                           StageTimes* times = nullptr);
+                                           PipelineMetrics* times = nullptr);
 
 /// Stages 1+2 inverse: rebuilds the field from codes + side channel data.
 /// `out` must have dims.count() elements.
 void reconstruct(const Params& params, const Dims& dims,
                  std::span<const uint32_t> codes, BytesView unpredictable,
                  BytesView side_info, std::span<float> out,
-                 StageTimes* times = nullptr);
+                 PipelineMetrics* times = nullptr);
 void reconstruct(const Params& params, const Dims& dims,
                  std::span<const uint32_t> codes, BytesView unpredictable,
                  BytesView side_info, std::span<double> out,
-                 StageTimes* times = nullptr);
+                 PipelineMetrics* times = nullptr);
 
 /// Linear (row-major) index of every element in block-scan order:
 /// codes[i] in a QuantizedField describes element scan_order[i] of the

@@ -55,16 +55,7 @@ Dims sample_dims(PropRng& rng, FieldKind kind) {
     e[i] = x;
     total *= x;
   }
-  switch (rank) {
-    case 1:
-      return Dims{e[0]};
-    case 2:
-      return Dims{e[0], e[1]};
-    case 3:
-      return Dims{e[0], e[1], e[2]};
-    default:
-      return Dims{e[0], e[1], e[2], e[3]};
-  }
+  return Dims(std::span<const size_t>(e, static_cast<size_t>(rank)));
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 #include <sstream>
 
 #include "archive/chunked.h"
+#include "archive/slab.h"
 #include "core/container.h"
+#include "core/sansio.h"
 #include "core/secure_compressor.h"
-#include "parallel/slab.h"
 
 namespace szsec::testing {
 
@@ -304,29 +305,56 @@ std::vector<std::string> check_roundtrip_impl(const SampledConfig& cfg) {
   // --- v1 slab archive with the same split must reconstruct the exact
   // same plaintext as the v3 archive (identical slab planning).
   {
-    parallel::SlabConfig scfg;
+    archive::ChunkedConfig scfg;
     scfg.threads = cfg.threads;
-    scfg.slabs = cfg.chunks;
+    scfg.chunks = cfg.chunks;
     crypto::CtrDrbg d5(cfg.seed + 3);
-    const parallel::SlabCompressResult sa = parallel::compress_slabs(
+    const archive::ChunkedCompressResult sa = archive::compress_slabs(
         in, cfg.dims, cfg.params, cfg.scheme, key, cfg.spec, scfg, &d5);
     {
-      // Sink-streamed v1 writer must match the in-memory archive too.
-      crypto::CtrDrbg d7(cfg.seed + 3);
-      MemorySink slab_sink;
-      (void)parallel::compress_slabs_to(slab_sink, in, cfg.dims, cfg.params,
-                                        cfg.scheme, key, cfg.spec, scfg,
-                                        &d7);
-      c.expect(slab_sink.bytes() == sa.archive,
+      // The streaming v1 writer (a sans-io encoder, fed in odd-sized
+      // pieces) must match the in-memory archive too.
+      sansio::EncoderConfig ec;
+      ec.params = cfg.params;
+      ec.scheme = cfg.scheme;
+      ec.spec = cfg.spec;
+      ec.key = Bytes(key.begin(), key.end());
+      ec.dtype = cfg.dtype;
+      ec.dims = cfg.dims;
+      ec.container = sansio::Container::kV1Slab;
+      ec.chunks = cfg.chunks;
+      ec.threads = cfg.threads;
+      ec.drbg_seed = cfg.seed + 3;
+      const auto ctx = sansio::Context::encoder(ec);
+      const BytesView raw(reinterpret_cast<const uint8_t*>(in.data()),
+                          in.size() * sizeof(T));
+      Bytes streamed;
+      uint8_t buf[4096];
+      size_t fed = 0;
+      for (sansio::Status st = ctx->status(); st != sansio::Status::kDone;
+           st = ctx->status()) {
+        size_t n = 0;
+        if (st == sansio::Status::kHaveOutput) {
+          ctx->pull(buf, n);
+          streamed.insert(streamed.end(), buf, buf + n);
+        } else if (fed < raw.size()) {
+          ctx->feed(raw.subspan(fed, std::min<size_t>(4093, raw.size() - fed)),
+                    n);
+          fed += n;
+        } else {
+          ctx->finish();
+        }
+      }
+      c.expect(streamed == sa.archive,
                "streamed v1 slab archive != in-memory archive bytes");
     }
     std::vector<T> slab_plain;
     if constexpr (sizeof(T) == 4) {
       slab_plain =
-          parallel::decompress_slabs_f32(BytesView(sa.archive), key, scfg);
+          archive::decompress_slabs_f32(BytesView(sa.archive), key, scfg);
     } else {
       slab_plain =
-          parallel::decompress_slabs_f64(BytesView(sa.archive), key, scfg);
+          archive::decompress_slabs_f64(BytesView(sa.archive), key, scfg);
     }
     c.expect(bits_equal<T>(std::span<const T>(slab_plain),
                            std::span<const T>(v3_serial)),

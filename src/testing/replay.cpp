@@ -9,11 +9,11 @@
 
 #include "archive/chunked.h"
 #include "archive/seekable.h"
+#include "archive/slab.h"
 #include "core/sansio.h"
 #include "core/secure_compressor.h"
 #include "crypto/cipher.h"
 #include "huffman/huffman.h"
-#include "parallel/slab.h"
 #include "testing/reference_coders.h"
 #include "zlite/zlite.h"
 
@@ -212,13 +212,13 @@ struct SansIoFixture {
     }
     {
       crypto::CtrDrbg drbg(kSeed);
-      parallel::SlabConfig sc;
+      archive::ChunkedConfig sc;
       sc.threads = 1;
-      sc.slabs = 3;
-      archive[2] = parallel::compress_slabs(f, dims, params, scheme, key,
-                                            {}, sc, &drbg)
+      sc.chunks = 3;
+      archive[2] = archive::compress_slabs(f, dims, params, scheme, key, {},
+                                           sc, &drbg)
                        .archive;
-      decoded[2] = as_bytes(parallel::decompress_slabs_f32(archive[2], key));
+      decoded[2] = as_bytes(archive::decompress_slabs_f32(archive[2], key));
     }
   }
 

@@ -352,7 +352,7 @@ TEST(Timers, WallAndCpuAdvance) {
 }
 
 TEST(StageTimes, AccumulatesAndTotals) {
-  StageTimes st;
+  PipelineMetrics st;
   st.add("a", 1.0);
   st.add("a", 0.5);
   st.add("b", 2.0);
@@ -366,7 +366,7 @@ TEST(StageTimes, AccumulatesAndTotals) {
 }
 
 TEST(StageTimes, ScopedTimerRecords) {
-  StageTimes st;
+  PipelineMetrics st;
   {
     ScopedStageTimer t(&st, "scope");
     volatile int x = 0;

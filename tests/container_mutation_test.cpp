@@ -14,19 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "archive/chunked.h"
+#include "archive/slab.h"
 #include "archive/verify.h"
 #include "common/crc32.h"
 #include "core/secure_compressor.h"
 #include "crypto/drbg.h"
 #include "huffman/huffman.h"
-#include "parallel/slab.h"
 #include "testing/mutators.h"
 #include "testing/replay.h"
+#include "zlite/zlite.h"
 
 namespace szsec::testing {
 namespace {
@@ -304,17 +306,37 @@ TEST(DecoderHardening, RankFourExtentProductOverflowRejected) {
   }
   {  // v1 slab archive
     ByteWriter w;
-    w.put_u32(parallel::kArchiveMagic);
-    w.put_u8(parallel::kArchiveVersion);
+    w.put_u32(archive::kSlabMagic);
+    w.put_u8(archive::kSlabVersion);
     w.put_u8(4);
     for (int i = 0; i < 4; ++i) w.put_varint(big);
     w.put_varint(1);
     w.put_blob(Bytes(8, 0));
     const Bytes a = w.take();
-    EXPECT_THROW((void)parallel::decompress_slabs_f32(BytesView(a),
-                                                      BytesView(replay_key(16))),
+    EXPECT_THROW((void)archive::decompress_slabs_f32(BytesView(a),
+                                                     BytesView(replay_key(16))),
                  Error);
   }
+}
+
+// `container` with its header changed by `edit`; `reseal` recomputes the
+// payload CRC the way an attacker would: over the inflated payload (not
+// the body on the wire), seeded with the header's semantic bytes.
+template <typename Edit>
+Bytes forge_header(const Bytes& container, Edit&& edit, bool reseal) {
+  core::Header h = core::peek_header(BytesView(container));
+  const size_t header_size = core::write_header(h).size();
+  const Bytes body(container.begin() +
+                       static_cast<std::ptrdiff_t>(header_size),
+                   container.end());
+  edit(h);
+  if (reseal) {
+    h.payload_crc = crc32(BytesView(zlite::inflate(BytesView(body))),
+                          crc32(BytesView(core::header_semantic_bytes(h))));
+  }
+  Bytes forged = core::write_header(h);
+  forged.insert(forged.end(), body.begin(), body.end());
+  return forged;
 }
 
 // A forged header with huge (but individually legal) dims and a short
@@ -328,19 +350,97 @@ TEST(DecoderHardening, ShortCodeStreamWithHugeDimsRejected) {
   const core::SecureCompressor c(small_params(), core::Scheme::kNone);
   const auto r = c.compress(std::span<const float>(f), dims);
 
-  core::Header h = core::peek_header(BytesView(r.container));
-  const size_t header_size = core::write_header(h).size();
-  const Bytes payload(r.container.begin() +
-                          static_cast<std::ptrdiff_t>(header_size),
-                      r.container.end());
-
-  h.dims = Dims{1024, 1024, 1024};  // 2^30 elements, 4 GiB of f32
-  h.payload_crc =
-      crc32(BytesView(payload), crc32(BytesView(core::header_semantic_bytes(h))));
-  Bytes forged = core::write_header(h);
-  forged.insert(forged.end(), payload.begin(), payload.end());
+  const Bytes forged = forge_header(
+      r.container,
+      // 2^30 elements, 4 GiB of f32
+      [](core::Header& h) { h.dims = Dims{1024, 1024, 1024}; }, true);
 
   EXPECT_THROW((void)c.decompress(BytesView(forged)), Error);
+}
+
+// Expects `parse` to throw CorruptError naming `what`.
+template <typename Fn>
+void expect_corrupt(Fn&& parse, const std::string& what) {
+  try {
+    parse();
+    ADD_FAILURE() << "no error; expected one naming '" << what << "'";
+  } catch (const CorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+// +inf is > 0, so a header check of `eb > 0` alone lets it through to
+// the unpredictable-value decoder, whose exponent arithmetic on
+// log2(eb) overflows.  The header parse every container, v1 slab and v3
+// chunk goes through rejects it.
+TEST(DecoderHardening, InfiniteErrorBoundHeaderRejected) {
+  const Dims dims{6, 8};
+  const std::vector<float> f = ramp(dims.count());
+  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
+  const Bytes forged = forge_header(
+      c.compress(std::span<const float>(f), dims).container,
+      [](core::Header& h) {
+        h.params.abs_error_bound = std::numeric_limits<double>::infinity();
+      },
+      false);
+  expect_corrupt([&] { (void)core::peek_header(BytesView(forged)); },
+                 "error bound");
+}
+
+TEST(DecoderHardening, InfiniteErrorBoundDecodeRejected) {
+  const Dims dims{6, 8};
+  std::vector<float> f = ramp(dims.count());
+  for (size_t i = 3; i < f.size(); i += 7) f[i] = i % 2 ? 1e30f : -1e30f;
+  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
+  const auto r = c.compress(std::span<const float>(f), dims);
+  ASSERT_GT(r.stats.unpredictable_count, 0u);
+  const Bytes forged = forge_header(
+      r.container,
+      [](core::Header& h) {
+        h.params.abs_error_bound = std::numeric_limits<double>::infinity();
+      },
+      true);
+  expect_corrupt([&] { (void)c.decompress(BytesView(forged)); },
+                 "error bound");
+}
+
+// A v1 slab must match the field's plane dims, not merely hold a
+// multiple of the plane's element count: a valid 3x32x10 container
+// standing in for a 12x16x20 archive's first 3x16x20 slab has the same
+// 960 elements.
+TEST(DecoderHardening, SlabWithForeignPlaneDimsRejected) {
+  const Dims dims{12, 16, 20};
+  const std::vector<float> f = ramp(dims.count());
+  archive::ChunkedConfig cfg;
+  cfg.threads = 1;
+  cfg.chunks = 4;
+  const Bytes slabs = archive::compress_slabs(std::span<const float>(f), dims,
+                                              small_params(),
+                                              core::Scheme::kNone, {}, {}, cfg)
+                          .archive;
+  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
+  const Bytes foreign =
+      c.compress(std::span<const float>(f).first(960), Dims{3, 32, 10})
+          .container;
+
+  ByteReader r{BytesView(slabs)};
+  ByteWriter w;
+  w.put_u32(r.get_u32());  // magic
+  w.put_u8(r.get_u8());    // version
+  const uint8_t rank = r.get_u8();
+  w.put_u8(rank);
+  for (uint8_t i = 0; i < rank; ++i) w.put_varint(r.get_varint());
+  const uint64_t count = r.get_varint();
+  ASSERT_EQ(count, 4u);
+  w.put_varint(count);
+  EXPECT_EQ(core::peek_header(r.get_blob()).dims, (Dims{3, 16, 20}));
+  w.put_blob(BytesView(foreign));
+  for (uint64_t i = 1; i < count; ++i) w.put_blob(r.get_blob());
+  const Bytes forged = w.take();
+  expect_corrupt(
+      [&] { (void)archive::decompress_slabs_f32(BytesView(forged), {}); },
+      "plane dims mismatch");
 }
 
 // Index rows are validated subtractively so row_start + row_extent can

@@ -9,9 +9,9 @@
 #include <random>
 
 #include "archive/chunked.h"
+#include "archive/slab.h"
 #include "common/stats.h"
 #include "core/secure_compressor.h"
-#include "parallel/slab.h"
 
 namespace szsec {
 namespace {
@@ -171,16 +171,16 @@ TEST(F64Slabs, SlabArchiveRoundTripWithinBound) {
   const Dims dims{12, 9, 9};
   const std::vector<double> field = smooth_field_f64(dims, 0xD4D4);
   const sz::Params params = tight_params();
-  parallel::SlabConfig config;
-  config.slabs = 3;
+  archive::ChunkedConfig config;
+  config.chunks = 3;
   config.threads = 2;
   crypto::CtrDrbg drbg(0xD4D5);
-  const parallel::SlabCompressResult r = parallel::compress_slabs(
+  const archive::ChunkedCompressResult r = archive::compress_slabs(
       std::span<const double>(field), dims, params, core::Scheme::kCmprEncr,
       BytesView(kKey), {}, config, &drbg);
-  EXPECT_EQ(r.slab_count, 3u);
+  EXPECT_EQ(r.chunk_count, 3u);
 
-  const std::vector<double> out = parallel::decompress_slabs_f64(
+  const std::vector<double> out = archive::decompress_slabs_f64(
       BytesView(r.archive), BytesView(kKey));
   ASSERT_EQ(out.size(), field.size());
   EXPECT_TRUE(within_abs_bound(std::span<const double>(field),
@@ -188,8 +188,8 @@ TEST(F64Slabs, SlabArchiveRoundTripWithinBound) {
                                params.abs_error_bound));
 
   // And the dtype cross-check: the f32 decoder rejects an f64 archive.
-  EXPECT_THROW(parallel::decompress_slabs_f32(BytesView(r.archive),
-                                              BytesView(kKey)),
+  EXPECT_THROW(archive::decompress_slabs_f32(BytesView(r.archive),
+                                             BytesView(kKey)),
                CorruptError);
 }
 

@@ -11,10 +11,10 @@
 #include <random>
 
 #include "archive/chunked.h"
+#include "archive/slab.h"
 #include "common/hex.h"
 #include "core/secure_compressor.h"
 #include "crypto/sha256.h"
-#include "parallel/slab.h"
 
 namespace szsec {
 namespace {
@@ -157,10 +157,10 @@ TEST(GoldenContainer, ChunkedArchiveSeekFooter) {
 TEST(GoldenContainer, SlabArchive) {
   const std::vector<float> f = golden_field_f32(17);
   crypto::CtrDrbg drbg(0xABCD);
-  parallel::SlabConfig cfg;
+  archive::ChunkedConfig cfg;
   cfg.threads = 2;
-  cfg.slabs = 4;
-  const auto r = parallel::compress_slabs(
+  cfg.chunks = 4;
+  const auto r = archive::compress_slabs(
       std::span<const float>(f), kDims, golden_params(),
       core::Scheme::kCmprEncr, BytesView(kKey), core::CipherSpec{}, cfg,
       &drbg);

@@ -1,21 +1,19 @@
-// Thread pool and slab-parallel compression tests: correctness under
-// concurrency, error-bound preservation across slab boundaries, archive
-// format robustness, and exception propagation.
+// Thread pool and v1 slab archive tests: correctness under concurrency,
+// error-bound preservation across slab boundaries, archive format
+// robustness, and exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <random>
 
+#include "archive/slab.h"
 #include "common/stats.h"
+#include "core/secure_compressor.h"
 #include "data/datasets.h"
-#include "parallel/slab.h"
 #include "parallel/thread_pool.h"
 
 namespace szsec::parallel {
 namespace {
-
-const Bytes kKey = {0, 1, 2,  3,  4,  5,  6,  7,
-                    8, 9, 10, 11, 12, 13, 14, 15};
 
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
@@ -35,22 +33,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), Error);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(), [&](size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForRethrows) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 10,
-                            [](size_t i) {
-                              if (i == 7) throw Error("task failed");
-                            }),
-               Error);
-}
-
 TEST(ThreadPool, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {
@@ -64,6 +46,15 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
   SUCCEED();
 }
 
+}  // namespace
+}  // namespace szsec::parallel
+
+namespace szsec::archive {
+namespace {
+
+const Bytes kKey = {0, 1, 2,  3,  4,  5,  6,  7,
+                    8, 9, 10, 11, 12, 13, 14, 15};
+
 class SlabRoundTrip
     : public ::testing::TestWithParam<std::tuple<core::Scheme, size_t>> {};
 
@@ -73,15 +64,20 @@ TEST_P(SlabRoundTrip, WithinBoundAcrossSlabs) {
   sz::Params params;
   params.abs_error_bound = 1e-4;
   crypto::CtrDrbg drbg(404);
-  SlabConfig config;
+  ChunkedConfig config;
   config.threads = 3;
-  config.slabs = slabs;
-  const SlabCompressResult r = compress_slabs(
+  config.chunks = slabs;
+  const ChunkedCompressResult r = compress_slabs(
       std::span<const float>(d.values), d.dims, params, scheme,
       scheme == core::Scheme::kNone ? BytesView{} : BytesView(kKey),
       core::CipherSpec{}, config, &drbg);
-  EXPECT_EQ(r.slab_count, std::min<size_t>(slabs, d.dims[0]));
-  EXPECT_EQ(archive_dims(BytesView(r.archive)), d.dims);
+  EXPECT_EQ(r.chunk_count, std::min<size_t>(slabs, d.dims[0]));
+  MemorySink field_bytes;
+  EXPECT_EQ(decompress_slabs_to(
+                BytesView(r.archive), field_bytes,
+                scheme == core::Scheme::kNone ? BytesView{} : BytesView(kKey))
+                .dims,
+            d.dims);
 
   const std::vector<float> out = decompress_slabs_f32(
       BytesView(r.archive),
@@ -103,9 +99,9 @@ TEST(Slab, DeterministicWithSeededDrbg) {
   const data::Dataset d = data::make_q2(data::Scale::kTiny);
   sz::Params params;
   params.abs_error_bound = 1e-5;
-  SlabConfig config;
+  ChunkedConfig config;
   config.threads = 2;
-  config.slabs = 4;
+  config.chunks = 4;
   auto run = [&] {
     crypto::CtrDrbg drbg(777);
     return compress_slabs(std::span<const float>(d.values), d.dims, params,
@@ -122,9 +118,9 @@ TEST(Slab, CompressionRatioCostIsModest) {
   sz::Params params;
   params.abs_error_bound = 1e-4;
   crypto::CtrDrbg drbg(11);
-  SlabConfig one, four;
-  one.slabs = 1;
-  four.slabs = 4;
+  ChunkedConfig one, four;
+  one.chunks = 1;
+  four.chunks = 4;
   const auto single =
       compress_slabs(std::span<const float>(d.values), d.dims, params,
                      core::Scheme::kNone, {}, {}, one, &drbg);
@@ -141,7 +137,8 @@ TEST(Slab, ArchiveCorruptionDetected) {
   crypto::CtrDrbg drbg(13);
   const auto r =
       compress_slabs(std::span<const float>(d.values), d.dims, params,
-                     core::Scheme::kNone, {}, {}, SlabConfig{2, 3}, &drbg);
+                     core::Scheme::kNone, {}, {}, ChunkedConfig{2, 3},
+                     &drbg);
   // Truncation.
   EXPECT_THROW(decompress_slabs_f32(
                    BytesView(r.archive).subspan(0, r.archive.size() / 2),
@@ -175,7 +172,8 @@ TEST(Slab, MatchesSerialResultBitwiseForNoneScheme) {
   crypto::CtrDrbg drbg(15);
   const auto archive =
       compress_slabs(std::span<const float>(d.values), d.dims, params,
-                     core::Scheme::kNone, {}, {}, SlabConfig{1, 1}, &drbg);
+                     core::Scheme::kNone, {}, {}, ChunkedConfig{1, 1},
+                     &drbg);
   const core::SecureCompressor serial(params, core::Scheme::kNone);
   const auto direct =
       serial.compress(std::span<const float>(d.values), d.dims);
@@ -197,7 +195,7 @@ TEST(Slab, FourDimensionalField) {
   crypto::CtrDrbg drbg(17);
   const auto r = compress_slabs(std::span<const float>(d.values), d.dims,
                                 params, core::Scheme::kEncrQuant,
-                                BytesView(kKey), {}, SlabConfig{2, 3},
+                                BytesView(kKey), {}, ChunkedConfig{2, 3},
                                 &drbg);
   const auto out =
       decompress_slabs_f32(BytesView(r.archive), BytesView(kKey));
@@ -206,4 +204,4 @@ TEST(Slab, FourDimensionalField) {
 }
 
 }  // namespace
-}  // namespace szsec::parallel
+}  // namespace szsec::archive

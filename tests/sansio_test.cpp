@@ -15,11 +15,11 @@
 #include <random>
 
 #include "archive/chunked.h"
+#include "archive/slab.h"
 #include "common/hex.h"
 #include "core/sansio.h"
 #include "core/secure_compressor.h"
 #include "crypto/sha256.h"
-#include "parallel/slab.h"
 
 namespace szsec {
 namespace {
@@ -149,19 +149,19 @@ Bytes oneshot_encode(core::Scheme scheme, sz::DType dtype,
                        .archive;
     }
     case sansio::Container::kV1Slab: {
-      parallel::SlabConfig sc;
+      archive::ChunkedConfig sc;
       sc.threads = 1;
-      sc.slabs = 3;
+      sc.chunks = 3;
       return dtype == sz::DType::kFloat32
-                 ? parallel::compress_slabs(std::span<const float>(f32),
-                                            kSmallDims, small_params(),
-                                            scheme, BytesView(key), {}, sc,
-                                            &drbg)
+                 ? archive::compress_slabs(std::span<const float>(f32),
+                                           kSmallDims, small_params(),
+                                           scheme, BytesView(key), {}, sc,
+                                           &drbg)
                        .archive
-                 : parallel::compress_slabs(std::span<const double>(f64),
-                                            kSmallDims, small_params(),
-                                            scheme, BytesView(key), {}, sc,
-                                            &drbg)
+                 : archive::compress_slabs(std::span<const double>(f64),
+                                           kSmallDims, small_params(),
+                                           scheme, BytesView(key), {}, sc,
+                                           &drbg)
                        .archive;
     }
   }
@@ -261,11 +261,11 @@ TEST(SansIo, DribbleDecodeEqualsOneShot) {
       }
       case sansio::Container::kV1Slab: {
         if (c.dtype == sz::DType::kFloat32) {
-          const auto f = parallel::decompress_slabs_f32(
+          const auto f = archive::decompress_slabs_f32(
               container, BytesView(key_for(c.scheme)));
           want.assign(as_bytes(f).begin(), as_bytes(f).end());
         } else {
-          const auto f = parallel::decompress_slabs_f64(
+          const auto f = archive::decompress_slabs_f64(
               container, BytesView(key_for(c.scheme)));
           want.assign(as_bytes(f).begin(), as_bytes(f).end());
         }

@@ -22,12 +22,16 @@ TEST(ThreadPool, WorkerIndicesAreDistinctAndInRange) {
   ThreadPool pool(4);
   EXPECT_EQ(ThreadPool::current_worker_index(), ThreadPool::kNotAWorker);
   std::vector<std::atomic<int>> hits(4);
-  parallel_for(pool, 256, [&](size_t) {
-    const size_t w = ThreadPool::current_worker_index();
-    ASSERT_LT(w, 4u);
-    ++hits[w];
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  });
+  std::vector<std::future<void>> tasks;
+  for (int i = 0; i < 256; ++i) {
+    tasks.push_back(pool.submit([&] {
+      const size_t w = ThreadPool::current_worker_index();
+      ASSERT_LT(w, 4u);
+      ++hits[w];
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }));
+  }
+  for (auto& t : tasks) t.get();
   int total = 0;
   for (auto& h : hits) total += h.load();
   EXPECT_EQ(total, 256);
@@ -310,17 +314,21 @@ TEST(Scheduler, OneWorkerInsideAnotherPoolPassesWorkerZero) {
   std::latch both_running(2);  // forces both outer workers into play
   std::vector<size_t> outer_index(2, ThreadPool::kNotAWorker);
   std::vector<size_t> seen(2, ThreadPool::kNotAWorker);
-  parallel_for(outer, 2, [&](size_t job) {
-    both_running.arrive_and_wait();
-    outer_index[job] = ThreadPool::current_worker_index();
-    ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{1, 0},
-                                      [](size_t, int&&) {});
-    sched.submit([&](size_t worker, size_t) {
-      seen[job] = worker;
-      return 0;
-    });
-    sched.finish();
-  });
+  std::vector<std::future<void>> jobs;
+  for (size_t job = 0; job < 2; ++job) {
+    jobs.push_back(outer.submit([&, job] {
+      both_running.arrive_and_wait();
+      outer_index[job] = ThreadPool::current_worker_index();
+      ParallelChunkScheduler<int> sched(ChunkSchedulerConfig{1, 0},
+                                        [](size_t, int&&) {});
+      sched.submit([&](size_t worker, size_t) {
+        seen[job] = worker;
+        return 0;
+      });
+      sched.finish();
+    }));
+  }
+  for (auto& j : jobs) j.get();
   EXPECT_NE(outer_index[0], outer_index[1]);  // one of them is nonzero
   EXPECT_EQ(seen, (std::vector<size_t>{0, 0}));
 }
