@@ -1,7 +1,8 @@
-// Ablation: lossless-stage effort (stored / greedy / lazy) for plain SZ
-// and Encr-Huffman.  The Encr-Huffman "faster than SZ" effect of Table V
-// lives in this stage: encrypting the tree removes compressible bytes
-// from the match search.
+// Ablation: lossless-stage effort (stored / greedy / lazy, and auto,
+// which picks stored or lazy per payload from its byte histogram) for
+// plain SZ and Encr-Huffman.  The Encr-Huffman "faster than SZ" effect
+// of Table V lives in this stage: encrypting the tree removes
+// compressible bytes from the match search.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -12,7 +13,7 @@ using namespace szsec::bench;
 int main() {
   std::printf("Ablation: lossless effort level (runs=%d)\n", bench_runs());
   const double eb = 1e-5;
-  const char* level_names[] = {"stored", "greedy", "lazy"};
+  const char* level_names[] = {"stored", "greedy", "lazy", "auto"};
   for (const std::string& name : {"CLOUDf48", "Q2"}) {
     const data::Dataset& d = dataset(name);
     std::printf("\n=== %s @ eb=%.0e ===\n", name.c_str(), eb);
@@ -21,7 +22,7 @@ int main() {
     for (core::Scheme scheme :
          {core::Scheme::kNone, core::Scheme::kEncrHuffman}) {
       for (zlite::Level level : {zlite::Level::kStored, zlite::Level::kFast,
-                                 zlite::Level::kDefault}) {
+                                 zlite::Level::kDefault, zlite::Level::kAuto}) {
         const core::SecureCompressor c = make_compressor(
             scheme, eb, crypto::Mode::kCbc, 65536, level);
         Measurement m;

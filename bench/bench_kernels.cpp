@@ -36,6 +36,9 @@
 //     tables) is below 3x the reference over a narrow and a wide chunk,
 //   * zlite inflate is below 1.5x the reference over both chunk payloads,
 //     or CRC-32 below 2x the reference,
+//   * zlite deflate at kAuto is below 5x kDefault on the hard chunk's
+//     payload (the gate must store it, and its byte-histogram estimate
+//     plus a stored copy must stay far cheaper than the matcher),
 //   * predict+quantize of the plume chunk is below 1.3x the reference's
 //     scan-order loop, or
 //   * dispatch silently fell back to scalar although cpuid reports the
@@ -499,6 +502,30 @@ std::pair<double, double> bench_decoders(std::vector<KernelResult>& out) {
   return {inflate.speedup(), crc.speedup()};
 }
 
+// zlite deflate of the hard chunk's payload at kAuto against kDefault;
+// returns the speedup.  MB/s count payload bytes.
+double bench_zlite_auto(std::vector<KernelResult>& out) {
+  using szsec::zlite::Level;
+  const Bytes plain = chunk_payload(true);
+  const BytesView in(plain);
+  std::printf("zlite-auto-hard: %zu bytes resolve to level %d\n",
+              plain.size(),
+              static_cast<int>(szsec::zlite::resolve_level(in, Level::kAuto)));
+  const auto [by_default, by_auto] = time_pair_mbps(
+      plain.size(),
+      [&] {
+        SZSEC_REQUIRE(!szsec::zlite::deflate(in, Level::kDefault).empty(),
+                      "empty");
+      },
+      [&] {
+        SZSEC_REQUIRE(!szsec::zlite::deflate(in, Level::kAuto).empty(),
+                      "empty");
+      });
+  out.push_back({"zlite-auto-hard", "default", by_default});
+  out.push_back({"zlite-auto-hard", "auto", by_auto});
+  return by_auto / by_default;
+}
+
 // -------------------------------------------------------- Huffman set-up
 
 // Stage-3 set-up for one chunk's codes, reference against library, in two
@@ -701,6 +728,7 @@ int main(int argc, char** argv) {
   const double wide_ratio = bench_huffman_wide(results);
   bench_huffman_decode_setup(results);
   const auto [inflate_ratio, crc_ratio] = bench_decoders(results);
+  const double auto_ratio = bench_zlite_auto(results);
   const double setup_ratio = bench_huffman_setup(results);
   const double lorenzo_ratio = bench_lorenzo(results);
 
@@ -785,6 +813,14 @@ int main(int argc, char** argv) {
     f.name = "zlite-inflate-vs-reference";
     f.floor = 1.5;
     f.ratio = inflate_ratio;
+    f.pass = f.ratio >= f.floor;
+    floors.push_back(f);
+  }
+  {
+    FloorResult f;
+    f.name = "zlite-auto-vs-default-hard";
+    f.floor = 5.0;
+    f.ratio = auto_ratio;
     f.pass = f.ratio >= f.floor;
     floors.push_back(f);
   }

@@ -116,10 +116,11 @@ Measurement measure(const data::Dataset& d, core::Scheme scheme, double eb,
 }
 
 double overhead_percent(const data::Dataset& d, core::Scheme scheme,
-                        double eb) {
-  const core::SecureCompressor base = make_compressor(core::Scheme::kNone,
-                                                      eb);
-  const core::SecureCompressor enc = make_compressor(scheme, eb);
+                        double eb, zlite::Level level) {
+  const core::SecureCompressor base = make_compressor(
+      core::Scheme::kNone, eb, crypto::Mode::kCbc, 65536, level);
+  const core::SecureCompressor enc =
+      make_compressor(scheme, eb, crypto::Mode::kCbc, 65536, level);
   const std::span<const float> data(d.values);
   // Warmup both paths (page in the dataset, size the allocator pools).
   (void)base.compress(data, d.dims);

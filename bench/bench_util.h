@@ -68,9 +68,10 @@ Measurement measure(const data::Dataset& d, core::Scheme scheme, double eb,
 /// Time overhead of `scheme` relative to plain SZ, in percent, measured
 /// with interleaved A/B repetitions (scheme, baseline, scheme, ...) and
 /// medians so slow drift on a shared machine cancels out.  This is the
-/// Table III-V statistic.
+/// Table III-V statistic; both sides run stage 4 at `level`.
 double overhead_percent(const data::Dataset& d, core::Scheme scheme,
-                        double eb);
+                        double eb,
+                        zlite::Level level = zlite::Level::kDefault);
 
 /// One dataset x scheme entry of the machine-readable stage-metrics
 /// dump: the full per-stage PipelineMetrics (seconds + bytes-in/out) for

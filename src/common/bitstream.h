@@ -99,6 +99,12 @@ struct WordBuffer {
     len += n;
   }
 
+  // Sizes the buffer for `n` bytes in all, so stores up to that total
+  // never regrow it.
+  void reserve(size_t n) {
+    if (buf.size() < n) buf.resize(n);
+  }
+
   void store_u8(uint64_t byte) {
     const auto b = static_cast<uint8_t>(byte);
     store(&b, 1);
@@ -250,6 +256,10 @@ class LsbBitWriter {
     flush_bytes();
     out_.store(bytes.data(), bytes.size());
   }
+
+  /// Sizes the output for `bytes` bytes in all, so a writer that knows
+  /// its output size up front never regrows (or re-copies) it.
+  void reserve(size_t bytes) { out_.reserve(bytes); }
 
   Bytes finish() {
     align_to_byte();

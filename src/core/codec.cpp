@@ -234,17 +234,19 @@ class LosslessStage final : public Stage {
     ctx.payload_bytes = assemble_payload(ctx.cfg->scheme, ctx.payload);
     ctx.stats->payload_bytes = ctx.payload_bytes.size();
     if (ctx.cfg->spec.authenticate) ctx.header.flags |= kFlagAuthenticated;
-    // The CRC covers the semantic header fields (as seed) + the payload.
-    ctx.header.payload_crc =
-        crc32(BytesView(ctx.payload_bytes),
-              crc32(BytesView(header_semantic_bytes(ctx.header))));
+    const BytesView payload(ctx.payload_bytes);
     {
       ScopedStageTimer t(ctx.metrics, name());
-      ctx.body = zlite::deflate(BytesView(ctx.payload_bytes),
-                                ctx.cfg->params.lossless_level);
+      // The header records the level applied, as it records a REL bound
+      // resolved to ABS: no container carries kAuto.
+      ctx.header.params.lossless_level =
+          zlite::resolve_level(payload, ctx.cfg->params.lossless_level);
+      ctx.body = zlite::deflate(payload, ctx.header.params.lossless_level);
     }
-    ctx.metrics->add_bytes(name(), ctx.payload_bytes.size(),
-                           ctx.body.size());
+    ctx.metrics->add_bytes(name(), payload.size(), ctx.body.size());
+    // The CRC covers the semantic header fields (as seed) + the payload.
+    ctx.header.payload_crc =
+        crc32(payload, crc32(BytesView(header_semantic_bytes(ctx.header))));
   }
 
   void inverse(DecodeContext& ctx) const override {

@@ -67,8 +67,10 @@ struct Params {
   /// Enable the mean-integrated (dense-mean) candidate.
   bool use_mean_predictor = true;
 
-  /// Effort level of the stage-4 lossless pass.
-  zlite::Level lossless_level = zlite::Level::kDefault;
+  /// Effort level of the stage-4 lossless pass.  kAuto stores payloads
+  /// that deflate cannot shrink (zlite::resolve_level) and records the
+  /// level it applied in the container header.
+  zlite::Level lossless_level = zlite::Level::kAuto;
 };
 
 }  // namespace szsec::sz

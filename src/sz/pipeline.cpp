@@ -222,10 +222,9 @@ void encode_volume(const T* data, T* recon, size_t nz, size_t ny, size_t nx,
 
 template <typename T>
 void decode_volume(T* out, size_t nz, size_t ny, size_t nx,
-                   const Params& params, const LinearQuantizer& quant,
-                   const CoeffCodec& codec, UnpredictableDecoder& unpred,
-                   ByteReader& side, const uint32_t*& code_it,
-                   const BlockShape& bs) {
+                   const LinearQuantizer& quant, const CoeffCodec& codec,
+                   UnpredictableDecoder& unpred, ByteReader& side,
+                   const uint32_t*& code_it, const BlockShape& bs) {
   const Lorenzo3D<T> lorenzo{out, nz, ny, nx};
   const auto radius = static_cast<int64_t>(quant.radius());
   for (size_t z0 = 0; z0 < nz; z0 += bs.bz) {
@@ -398,8 +397,8 @@ void reconstruct_impl(const Params& params, const Dims& dims,
       interp_decode_volume(out.data() + t * vol, s.nz, s.ny, s.nx, quant,
                            unpred, code_it);
     } else {
-      decode_volume(out.data() + t * vol, s.nz, s.ny, s.nx, params, quant,
-                    codec, unpred, side, code_it, bs);
+      decode_volume(out.data() + t * vol, s.nz, s.ny, s.nx, quant, codec,
+                    unpred, side, code_it, bs);
     }
   }
 }

@@ -103,7 +103,8 @@ SampledConfig sample_config(PropRng& rng) {
   c.params.use_regression = rng.chance(0.7);
   c.params.use_mean_predictor = rng.chance(0.7);
   c.params.lossless_level = rng.pick<zlite::Level>(
-      {zlite::Level::kStored, zlite::Level::kFast, zlite::Level::kDefault});
+      {zlite::Level::kStored, zlite::Level::kFast, zlite::Level::kDefault,
+       zlite::Level::kAuto});
 
   c.chunks = static_cast<size_t>(
       rng.range(1, static_cast<int64_t>(std::min<size_t>(c.dims[0], 5))));

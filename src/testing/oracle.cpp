@@ -124,6 +124,15 @@ void check_container_consistency(Check& c, const SampledConfig& cfg,
   }
   c.expect(h.params.quant_bins == cfg.params.quant_bins,
            "header quant_bins mismatch");
+  // The header records the level applied: kAuto resolves per payload.
+  if (cfg.params.lossless_level == zlite::Level::kAuto) {
+    c.expect(h.params.lossless_level == zlite::Level::kStored ||
+                 h.params.lossless_level == zlite::Level::kDefault,
+             "header level is neither kStored nor kDefault under kAuto");
+  } else {
+    c.expect(h.params.lossless_level == cfg.params.lossless_level,
+             "header lossless level != configured level");
+  }
 
   // Byte layout: header + payload (+ 32-byte HMAC tag) == container.
   const size_t header_size = core::write_header(h).size();

@@ -1035,27 +1035,72 @@ class Inflater {
   size_t max_size_;
 };
 
+// deflate emits one block per kBlockSize input bytes, so dynamic Huffman
+// codes adapt to local statistics (as zlib does).
+constexpr size_t kBlockSize = 256 * 1024;
+
+// Bits of `block` coded as literals alone, with the code a dynamic block
+// would build from its byte histogram.  Integer arithmetic, so kAuto
+// chooses the same level on every platform.
+uint64_t literal_only_bits(BytesView block) {
+  // Four tables, so a run of one byte value does not chain every
+  // increment through one counter.
+  std::array<std::array<uint64_t, 256>, 4> counts{};
+  const uint8_t* p = block.data();
+  const size_t n = block.size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++counts[0][p[i]];
+    ++counts[1][p[i + 1]];
+    ++counts[2][p[i + 2]];
+    ++counts[3][p[i + 3]];
+  }
+  for (; i < n; ++i) ++counts[0][p[i]];
+  std::array<uint64_t, 256>& freq = counts[0];
+  for (size_t s = 0; s < freq.size(); ++s) {
+    freq[s] += counts[1][s] + counts[2][s] + counts[3][s];
+  }
+  const std::vector<uint8_t> len = limited_lengths(freq, kMaxLitBits);
+  uint64_t bits = 0;
+  for (size_t s = 0; s < freq.size(); ++s) bits += freq[s] * len[s];
+  return bits;
+}
+
 }  // namespace
+
+Level resolve_level(BytesView data, Level level) {
+  if (level != Level::kAuto) return level;
+  // kAuto stores a payload whose literal-only codes would save less than
+  // this share of its size.  Such byte histograms are near flat, as in
+  // ciphertext and in the wide Huffman codewords of hard fields, whose
+  // bytes repeat too little for LZ77 matches to add much; running the
+  // matcher over them costs more than the percent or two it might save.
+  constexpr uint64_t kMinSavingPercent = 3;
+  uint64_t bits = 0;
+  for (size_t off = 0; off < data.size(); off += kBlockSize) {
+    bits += literal_only_bits(
+        data.subspan(off, std::min(kBlockSize, data.size() - off)));
+  }
+  return bits * 100 > data.size() * 8 * (100 - kMinSavingPercent)
+             ? Level::kStored
+             : Level::kDefault;
+}
 
 Bytes deflate(BytesView data, Level level) {
   LsbBitWriter w;
-  if (data.empty()) {
-    // One empty stored final block.
-    emit_stored(w, data, true);
-    return w.finish();
-  }
-  if (level == Level::kStored) {
+  level = resolve_level(data, level);
+  if (data.empty() || level == Level::kStored) {
+    // 5 header bytes per block of up to 65,535; an empty input is one
+    // empty stored final block.
+    w.reserve(data.size() + (data.size() / 65535 + 1) * 5);
     emit_stored(w, data, true);
     return w.finish();
   }
 
-  // Chunked compression: one block per kChunk of input bytes, so dynamic
-  // Huffman codes adapt to local statistics (as zlib does).
-  constexpr size_t kChunk = 256 * 1024;
   Matcher matcher(data, level);
   std::vector<Token> tokens;
-  for (size_t off = 0; off < data.size(); off += kChunk) {
-    const size_t end = std::min(data.size(), off + kChunk);
+  for (size_t off = 0; off < data.size(); off += kBlockSize) {
+    const size_t end = std::min(data.size(), off + kBlockSize);
     tokens.clear();
     matcher.tokenize(off, end, tokens);
     emit_block(w, data.subspan(off, end - off), tokens,

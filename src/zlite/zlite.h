@@ -20,13 +20,24 @@ namespace szsec::zlite {
 
 /// Compression effort.
 enum class Level : int {
-  kStored = 0,  ///< no compression (stored blocks only)
-  kFast = 1,    ///< greedy matching
-  kDefault = 2  ///< lazy matching (one-byte lookahead)
+  kStored = 0,   ///< no compression (stored blocks only)
+  kFast = 1,     ///< greedy matching
+  kDefault = 2,  ///< lazy matching (one-byte lookahead)
+  /// kStored or kDefault, chosen per input by resolve_level().  Never
+  /// written to a container: the header records the level applied.
+  kAuto = 3
 };
 
-/// Compresses `data`.  Always succeeds; incompressible input grows by a
-/// few bytes per 64 KiB block at most.
+/// The level deflate() applies for `level`: `level` itself unless it is
+/// kAuto.  kAuto estimates the size of `data` coded as literals alone,
+/// each block deflate would emit with a Huffman code built from that
+/// block's byte histogram, and becomes kStored when that saves under 3%
+/// (ciphertext, the wide Huffman codewords of hard fields), else
+/// kDefault.  Depends only on `data`'s bytes.
+Level resolve_level(BytesView data, Level level);
+
+/// Compresses `data` at resolve_level(data, level).  Always succeeds;
+/// incompressible input grows by a few bytes per 64 KiB block at most.
 Bytes deflate(BytesView data, Level level = Level::kDefault);
 
 /// Decompresses a zlite stream.  Throws CorruptError on malformed input.

@@ -405,6 +405,30 @@ TEST(DecoderHardening, InfiniteErrorBoundDecodeRejected) {
                  "error bound");
 }
 
+// The header records the level the encoder applied (0-2).  kAuto (3),
+// which only ever names a request, and out-of-range bytes are rejected
+// in every container, even with the payload CRC re-sealed over them.
+TEST(DecoderHardening, ForgedLosslessLevelRejected) {
+  const Dims dims{6, 8};
+  const std::vector<float> f = ramp(dims.count());
+  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
+  const Bytes container =
+      c.compress(std::span<const float>(f), dims).container;
+  for (const int level : {3, 255}) {
+    SCOPED_TRACE(level);
+    const Bytes forged = forge_header(
+        container,
+        [level](core::Header& h) {
+          h.params.lossless_level = static_cast<zlite::Level>(level);
+        },
+        true);
+    expect_corrupt([&] { (void)core::peek_header(BytesView(forged)); },
+                   "bad lossless level");
+    expect_corrupt([&] { (void)c.decompress(BytesView(forged)); },
+                   "bad lossless level");
+  }
+}
+
 // A v1 slab must match the field's plane dims, not merely hold a
 // multiple of the plane's element count: a valid 3x32x10 container
 // standing in for a 12x16x20 archive's first 3x16x20 slab has the same

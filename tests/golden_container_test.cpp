@@ -40,9 +40,12 @@ std::vector<double> golden_field_f64() {
   return f;
 }
 
-sz::Params golden_params() {
+// The pins below predate the kAuto default and pin the kDefault encoder;
+// the Auto* tests pin what kAuto writes.
+sz::Params golden_params(zlite::Level level = zlite::Level::kDefault) {
   sz::Params params;
   params.abs_error_bound = 1e-4;
+  params.lossless_level = level;
   return params;
 }
 
@@ -51,12 +54,26 @@ std::string digest(BytesView bytes) {
   return to_hex(BytesView(d));
 }
 
-Bytes compress_v2(core::Scheme scheme, crypto::Mode mode) {
+Bytes compress_v2(core::Scheme scheme, crypto::Mode mode,
+                  zlite::Level level = zlite::Level::kDefault) {
   const std::vector<float> f = golden_field_f32(17);
   crypto::CtrDrbg drbg(0xC0FFEE);
-  const core::SecureCompressor c(golden_params(), scheme, BytesView(kKey),
-                                 mode, &drbg);
+  const core::SecureCompressor c(golden_params(level), scheme,
+                                 BytesView(kKey), mode, &drbg);
   return c.compress(std::span<const float>(f), kDims).container;
+}
+
+Bytes compress_f64(zlite::Level level = zlite::Level::kDefault) {
+  const std::vector<double> d64 = golden_field_f64();
+  crypto::CtrDrbg drbg(0xC0FFEE);
+  const core::SecureCompressor c(golden_params(level),
+                                 core::Scheme::kEncrQuant, BytesView(kKey),
+                                 crypto::Mode::kCbc, &drbg);
+  return c.compress(std::span<const double>(d64), kDims).container;
+}
+
+zlite::Level header_level(const Bytes& container) {
+  return core::peek_header(BytesView(container)).params.lossless_level;
 }
 
 TEST(GoldenContainer, SchemeNone) {
@@ -108,14 +125,37 @@ TEST(GoldenContainer, Authenticated) {
 }
 
 TEST(GoldenContainer, Float64) {
-  const std::vector<double> d64 = golden_field_f64();
-  crypto::CtrDrbg drbg(0xC0FFEE);
-  const core::SecureCompressor c(golden_params(), core::Scheme::kEncrQuant,
-                                 BytesView(kKey), crypto::Mode::kCbc, &drbg);
-  const auto r = c.compress(std::span<const double>(d64), kDims);
   EXPECT_EQ(
-      digest(BytesView(r.container)),
+      digest(BytesView(compress_f64())),
       "f61a10f6433f14d8358d9bf674121a9bc1adb4d9a9d426bb236734702aec2348");
+}
+
+// kAuto writes the level it applied.  The golden f32 payloads resolve to
+// kDefault, so every v2 scheme's bytes are those its kDefault pin holds.
+TEST(GoldenContainer, AutoSchemesResolveToDefault) {
+  for (const core::Scheme scheme :
+       {core::Scheme::kNone, core::Scheme::kCmprEncr,
+        core::Scheme::kEncrQuant, core::Scheme::kEncrHuffman}) {
+    const Bytes a = compress_v2(scheme, crypto::Mode::kCbc,
+                                zlite::Level::kAuto);
+    EXPECT_EQ(header_level(a), zlite::Level::kDefault)
+        << core::scheme_name(scheme);
+    EXPECT_EQ(digest(BytesView(a)),
+              digest(BytesView(compress_v2(scheme, crypto::Mode::kCbc))))
+        << core::scheme_name(scheme);
+  }
+}
+
+// The f64 Encr-Quant payload is mostly ciphertext and resolves to
+// kStored: the bytes of an explicit kStored encode, whose level byte (0)
+// and the payload CRC it seeds are all that differ from the Float64 pin.
+TEST(GoldenContainer, AutoFloat64) {
+  const Bytes a = compress_f64(zlite::Level::kAuto);
+  EXPECT_EQ(header_level(a), zlite::Level::kStored);
+  EXPECT_EQ(a, compress_f64(zlite::Level::kStored));
+  EXPECT_EQ(
+      digest(BytesView(a)),
+      "a60711b3ada07648000bdc67f34626195e0a46fcb3266589f2facc9e41459995");
 }
 
 TEST(GoldenContainer, ChunkedArchive) {
