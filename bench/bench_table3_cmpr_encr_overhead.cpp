@@ -14,7 +14,7 @@ using namespace szsec::bench;
 int main() {
   std::printf("Table III: Time overhead for Cmpr-Encr when compressing (%%)\n");
   std::printf("(runs=%d)\n", bench_runs());
-  print_table_header("Overhead vs original SZ (100%% = equal)",
+  print_table_header("Overhead vs original SZ (100% = equal)",
                      {"1e-7", "1e-6", "1e-5", "1e-4", "1e-3"}, 10, 10);
   for (const std::string& name : table_datasets()) {
     const data::Dataset& d = dataset(name);

@@ -45,7 +45,7 @@ double encr_quant_ratio(const data::Dataset& d, double eb,
 int main() {
   std::printf("Table IV: Time overhead for Encr-Quant when compressing (%%)\n");
   std::printf("(runs=%d)\n", bench_runs());
-  print_sweep("Overhead vs original SZ (100%% = equal)",
+  print_sweep("Overhead vs original SZ (100% = equal)",
               [](const data::Dataset& d, double eb) {
                 return overhead_percent(d, core::Scheme::kEncrQuant, eb);
               });

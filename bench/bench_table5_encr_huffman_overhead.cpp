@@ -15,7 +15,7 @@ int main() {
   std::printf(
       "Table V: Time overhead for Encr-Huffman when compressing (%%)\n");
   std::printf("(runs=%d)\n", bench_runs());
-  print_table_header("Overhead vs original SZ (100%% = equal)",
+  print_table_header("Overhead vs original SZ (100% = equal)",
                      {"1e-7", "1e-6", "1e-5", "1e-4", "1e-3"}, 10, 10);
   double worst = 0;
   for (const std::string& name : table_datasets()) {

@@ -11,26 +11,18 @@ namespace szsec::archive {
 namespace {
 
 /// Checks the encrypt-then-MAC tag of one container (v2 file or v3
-/// chunk payload) against the pre-derived MAC key.  `auth_key` empty
-/// means the caller had no key.  On kFailed, `detail` says why.
+/// chunk payload) against the pre-derived MAC key, as strict decode
+/// does.  `auth_key` empty means the caller had no key.  On kFailed,
+/// `detail` says why.
 MacCheck check_mac(BytesView container, const core::Header& h,
                    BytesView auth_key, std::string& detail) {
   if ((h.flags & core::kFlagAuthenticated) == 0) return MacCheck::kAbsent;
   if (auth_key.empty()) return MacCheck::kNoKey;
-  constexpr size_t kTag = crypto::Sha256::kDigestSize;
-  if (container.size() < kTag) {
-    detail = "authenticated container too short";
-    return MacCheck::kFailed;
-  }
-  const BytesView signed_part =
-      container.subspan(0, container.size() - kTag);
-  const BytesView tag = container.subspan(container.size() - kTag);
-  const crypto::Sha256::Digest expect =
-      crypto::hmac_sha256(auth_key, signed_part);
-  if (!crypto::constant_time_equal(BytesView(expect.data(), expect.size()),
-                                   tag)) {
-    detail = "authentication tag mismatch: container tampered with "
-             "or wrong key";
+  try {
+    (void)core::codec::check_tag(container, core::write_header(h).size(),
+                                 auth_key);
+  } catch (const Error& ex) {
+    detail = ex.what();
     return MacCheck::kFailed;
   }
   return MacCheck::kPassed;

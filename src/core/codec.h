@@ -1,9 +1,21 @@
 // codec: the one shared encode/decode path behind every szsec container.
 //
-// encode_payload() runs a scheme's stage chain (core/stage.h) forward
-// and frames the result as a v2 container; decode_payload() parses the
-// framing and runs the chain in reverse.  The SecureCompressor facade
-// and the chunk codec of src/archive (v3 chunked archives and v1 slab
+// The paper's three secure schemes are the same SZ-1.4 pipeline with a
+// cipher spliced in at one point.  encode_payload() runs stages 1+2
+// (predict + quantize), 3 (Huffman) and 4 (payload framing + zlite
+// DEFLATE) in order and frames a v2 container; decode_payload() parses
+// the framing and runs the inverses in reverse.  Each splices the cipher
+// with an `if` on the scheme:
+//
+//   kNone         no cipher
+//   kCmprEncr     after stage 4: the whole compressed stream
+//   kEncrQuant    after stage 3: tree + codewords, as one blob
+//   kEncrHuffman  after stage 3: the tree only
+//
+// Every stage records wall time and bytes in/out into the result's
+// PipelineMetrics ("predict+quantize" / "reconstruct", "huffman",
+// "encrypt" / "decrypt", "lossless").  The SecureCompressor facade and
+// the chunk codec of src/archive (v3 chunked archives and v1 slab
 // archives) all call these two functions — a v2 container, a v3 chunk
 // and a v1 slab are the same codec invoked with different framing, so
 // format and scheme logic exist exactly once.
@@ -11,7 +23,8 @@
 // Ownership/zero-copy rules (see also DESIGN.md section 6):
 //  * decode_payload borrows `container` for the whole call; blobs are
 //    parsed as BytesView into the container/payload buffers and only
-//    copied at encryption boundaries.
+//    copied at encryption boundaries (ciphertext cannot alias
+//    plaintext).
 //  * DecodeOptions::pool lends scratch buffers (the inflated payload)
 //    that are returned on exit, so chunked decodes allocate nothing per
 //    chunk in steady state.
@@ -23,13 +36,38 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <tuple>
+#include <vector>
 
+#include "common/bufpool.h"
+#include "common/bytestream.h"
+#include "common/dims.h"
 #include "common/io.h"
-#include "core/stage.h"
+#include "common/timer.h"
+#include "core/container.h"
+#include "core/scheme.h"
+#include "crypto/cipher.h"
 #include "crypto/drbg.h"
+#include "sz/pipeline.h"
 
 namespace szsec::core {
+
+/// Cipher algorithm + mode selection for the codec (and the
+/// SecureCompressor facade).  The paper fixes AES-128-CBC; the other
+/// algorithms exist for the cipher ablation bench (DES/3DES from
+/// Section II-B, ChaCha20 as the modern light-weight alternative).
+struct CipherSpec {
+  crypto::CipherKind kind = crypto::CipherKind::kAes128;
+  crypto::Mode mode = crypto::Mode::kCbc;
+
+  /// Append an HMAC-SHA256 tag over the whole container
+  /// (encrypt-then-MAC) and verify it before decryption.  The MAC key is
+  /// HKDF-derived from the cipher key, so one master key drives both.
+  /// This goes beyond the paper (whose integrity check is implicit) and
+  /// turns "corruption is detected" into "tampering is rejected".
+  bool authenticate = false;
+};
 
 /// Size/ratio accounting for one compression, feeding every table and
 /// figure in the evaluation.
@@ -78,6 +116,37 @@ struct DecompressResult {
 Header peek_header(BytesView container);
 
 namespace codec {
+
+/// Immutable per-codec configuration, shared by every chunk (and every
+/// worker thread) of one archive: parameters, the scheme, and the
+/// cipher/MAC material.  Build one via CodecRuntime.
+struct CodecConfig {
+  sz::Params params;
+  Scheme scheme = Scheme::kNone;
+  CipherSpec spec;
+  /// Null for Scheme::kNone; otherwise outlives the config (owned by
+  /// the CodecRuntime that produced it).
+  const crypto::Cipher* cipher = nullptr;
+  /// HKDF-derived MAC key; empty unless spec.authenticate.
+  BytesView auth_key;
+};
+
+/// Zero-copy stage-3 payload.  Every field is a borrow: on encode into
+/// the encoder's QuantizedField/EncodedQuant/ciphertext scratch, on
+/// decode into the inflated payload buffer.  The serialized layout
+/// (assemble_payload / parse_payload) is unchanged from the original
+/// format: for Encr-Quant the tree+codewords travel as one ciphertext
+/// blob; for Encr-Huffman only the tree blob is ciphertext; length
+/// prefixes stay plaintext exactly as the paper's modified SZ-1.4
+/// stores the encrypted-region size outside the encryption.
+struct PayloadView {
+  BytesView tree_or_cipher;  ///< tree (plain or encrypted) or quant ciphertext
+  BytesView codewords;       ///< empty for Encr-Quant (inside the ciphertext)
+  uint64_t symbol_count = 0;
+  BytesView unpredictable;
+  uint64_t unpredictable_count = 0;
+  BytesView side_info;
+};
 
 /// The HKDF-SHA256-derived MAC key ("szsec-auth-v1" info string) behind
 /// every authenticated container.  CodecRuntime derives it once per
@@ -138,6 +207,15 @@ class RuntimeCache {
   std::map<Key, CodecRuntime> cache_;
 };
 
+/// The encrypt-then-MAC check of every authenticated container (v2
+/// file, v3 chunk, v1 slab): splits the HMAC-SHA256 tag off the end of
+/// `container`, recomputes it over the rest (header | body) under
+/// `auth_key` and compares in constant time.  Returns the signed part.
+/// Throws CorruptError when `container` cannot hold a `header_size`-byte
+/// header and a tag, CryptoError when the tag does not match.
+BytesView check_tag(BytesView container, size_t header_size,
+                    BytesView auth_key);
+
 /// Serializes a PayloadView into the pre-lossless payload bytes
 /// (scheme-dependent layout, see PayloadView).
 Bytes assemble_payload(Scheme scheme, const PayloadView& p);
@@ -148,50 +226,10 @@ Bytes assemble_payload(Scheme scheme, const PayloadView& p);
 /// input.
 PayloadView parse_payload(Scheme scheme, BytesView payload);
 
-/// Mutable state threaded through one encode: the input field, each
-/// stage's product, and the under-construction header/payload.  Owned
-/// by encode_payload for exactly one invocation; stages are stateless.
-struct EncodeContext {
-  const CodecConfig* cfg = nullptr;
-  std::span<const float> f32;  ///< exactly one of f32/f64 is non-empty
-  std::span<const double> f64;
-  Dims dims;
-
-  Header header;
-  sz::QuantizedField q;  ///< stage 1+2 output
-  sz::EncodedQuant enc;  ///< stage 3 output
-  PayloadView payload;   ///< borrows from q/enc/cipher_buf
-  Bytes cipher_buf;      ///< ciphertext backing for the splice stages
-  Bytes payload_bytes;   ///< assembled pre-lossless payload
-  Bytes body;            ///< stage-4 output (Cmpr-Encr re-encrypts it)
-
-  CompressStats* stats = nullptr;
-  PipelineMetrics* metrics = nullptr;
-};
-
-/// Mutable state threaded through one decode (stages run in reverse).
-struct DecodeContext {
-  const CodecConfig* cfg = nullptr;
-  Header header;
-  BytesView body;        ///< container body (or a view of decrypted_body)
-  Bytes decrypted_body;  ///< Cmpr-Encr plaintext backing
-  Bytes* payload_buf = nullptr;  ///< pooled scratch: inflated payload
-  PayloadView payload;           ///< borrows from *payload_buf
-  Bytes quant_plain;             ///< Encr-Quant decrypt backing
-  Bytes tree_plain;              ///< Encr-Huffman decrypt backing
-  BytesView tree;                ///< stage-3 inverse inputs (borrows)
-  BytesView codewords;
-  std::vector<uint32_t> codes;
-
-  DecompressResult* out = nullptr;
-  std::span<float> into_f32;
-  std::span<double> into_f64;
-  PipelineMetrics* metrics = nullptr;
-};
-
-/// Encodes one field into a v2 container: runs the scheme's stage chain
-/// forward, then frames header + body (+ HMAC tag when authenticated).
-/// `drbg` supplies the IV for encrypting schemes (null = global DRBG).
+/// Encodes one field into a v2 container: runs stages 1+2, 3 and 4 with
+/// the scheme's cipher splice, then frames header + body (+ HMAC tag
+/// when authenticated).  `drbg` supplies the IV for encrypting schemes
+/// (null = global DRBG).
 CompressResult encode_payload(const CodecConfig& cfg,
                               std::span<const float> data, const Dims& dims,
                               crypto::CtrDrbg* drbg = nullptr);
@@ -227,9 +265,11 @@ struct DecodeOptions {
 };
 
 /// Decodes one v2 container: verifies framing (MAC when present, CRC
-/// always), then runs the header's scheme chain in reverse.  Requires
-/// cfg to carry the cipher the container was produced with (for
-/// encrypting schemes).
+/// always), then runs the inverse stages with the header's scheme
+/// splice.  Requires cfg to carry the cipher the container was produced
+/// with (for encrypting schemes).  A cfg with spec.authenticate rejects
+/// a container without a tag (CryptoError): the flag and the tag are
+/// removable by anyone, so their absence proves nothing.
 DecompressResult decode_payload(const CodecConfig& cfg, BytesView container,
                                 const DecodeOptions& opts = {});
 

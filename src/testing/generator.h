@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/stage.h"
+#include "core/codec.h"
 #include "testing/rng.h"
 
 namespace szsec::testing {

@@ -25,6 +25,7 @@
 #include "common/crc32.h"
 #include "core/secure_compressor.h"
 #include "crypto/drbg.h"
+#include "data/datasets.h"
 #include "huffman/huffman.h"
 #include "testing/mutators.h"
 #include "testing/replay.h"
@@ -427,6 +428,53 @@ TEST(DecoderHardening, ForgedLosslessLevelRejected) {
     expect_corrupt([&] { (void)c.decompress(BytesView(forged)); },
                    "bad lossless level");
   }
+}
+
+// The MAC flag and tag are removable by anyone, and the payload CRC is
+// keyless.  So a reader that authenticates must reject a container
+// without a tag: otherwise an attacker flips a plaintext Encr-Huffman
+// codeword bit, clears the flag, re-seals the CRC, re-deflates and
+// drops the tag, and the reader returns a field off by far more than
+// the bound.
+TEST(DecoderHardening, StrippedTagRejected) {
+  const data::Dataset d = data::make_q2(data::Scale::kTiny);
+  sz::Params params;
+  params.abs_error_bound = 1e-4;
+  const Bytes key = replay_key(16);
+  core::CipherSpec spec;
+  spec.authenticate = true;
+  crypto::CtrDrbg drbg(29);
+  const core::SecureCompressor c(params, core::Scheme::kEncrHuffman,
+                                 BytesView(key), spec, &drbg);
+  const Bytes container =
+      c.compress(std::span<const float>(d.values), d.dims).container;
+
+  core::Header h = core::peek_header(BytesView(container));
+  const size_t header_size = core::write_header(h).size();
+  const Bytes payload = zlite::inflate(BytesView(container).subspan(
+      header_size, static_cast<size_t>(h.payload_size)));
+  core::codec::PayloadView p =
+      core::codec::parse_payload(h.scheme, BytesView(payload));
+  Bytes codewords(p.codewords.begin(), p.codewords.end());
+  codewords[codewords.size() / 2] ^= 0x10;
+  p.codewords = BytesView(codewords);
+  const Bytes forged_payload = core::codec::assemble_payload(h.scheme, p);
+  const Bytes body =
+      zlite::deflate(BytesView(forged_payload), h.params.lossless_level);
+  h.flags &= static_cast<uint8_t>(~core::kFlagAuthenticated);
+  h.payload_size = body.size();
+  h.payload_crc = crc32(BytesView(forged_payload),
+                        crc32(BytesView(core::header_semantic_bytes(h))));
+  Bytes forged = core::write_header(h);
+  forged.insert(forged.end(), body.begin(), body.end());
+
+  // A reader that expects no MAC decodes the forgery to another field...
+  const core::SecureCompressor plain(params, core::Scheme::kEncrHuffman,
+                                     BytesView(key));
+  EXPECT_NE(plain.decompress_f32(BytesView(forged)),
+            c.decompress_f32(BytesView(container)));
+  // ...and the authenticating reader refuses it.
+  EXPECT_THROW((void)c.decompress(BytesView(forged)), CryptoError);
 }
 
 // A v1 slab must match the field's plane dims, not merely hold a

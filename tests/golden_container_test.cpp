@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <random>
+#include <string>
 
 #include "archive/chunked.h"
 #include "archive/slab.h"
@@ -156,6 +158,205 @@ TEST(GoldenContainer, AutoFloat64) {
   EXPECT_EQ(
       digest(BytesView(a)),
       "a60711b3ada07648000bdc67f34626195e0a46fcb3266589f2facc9e41459995");
+}
+
+// Every CompressStats field and each PipelineMetrics key's byte flow, on
+// encode and on decode, for the four schemes with and without the MAC
+// over both dtypes.  Captured from the stage-graph codec; the CLI's stage
+// table, bench_stage_metrics and Fig. 7 print these numbers.
+std::string flows(const PipelineMetrics& m) {
+  std::string s;
+  for (const auto& [name, metric] : m.all()) {
+    EXPECT_GT(metric.seconds, 0.0) << name;
+    s += " " + name + "=" + std::to_string(metric.bytes_in) + ">" +
+         std::to_string(metric.bytes_out);
+  }
+  return s;
+}
+
+std::string stage_pin(core::Scheme scheme, bool authenticate, bool f64) {
+  crypto::CtrDrbg drbg(0xC0FFEE);
+  core::CipherSpec spec;
+  spec.authenticate = authenticate;
+  const core::SecureCompressor c(golden_params(), scheme, BytesView(kKey),
+                                 spec, &drbg);
+  const std::vector<float> f = golden_field_f32(17);
+  const std::vector<double> d = golden_field_f64();
+  const core::CompressResult r =
+      f64 ? c.compress(std::span<const double>(d), kDims)
+          : c.compress(std::span<const float>(f), kDims);
+  const core::CompressStats& st = r.stats;
+  char predictable[32];
+  std::snprintf(predictable, sizeof(predictable), "%.17g",
+                st.predictable_fraction);
+  return digest(BytesView(r.container)).substr(0, 16) +
+         " raw=" + std::to_string(st.raw_bytes) +
+         " container=" + std::to_string(st.container_bytes) +
+         " payload=" + std::to_string(st.payload_bytes) +
+         " tree=" + std::to_string(st.tree_bytes) +
+         " codewords=" + std::to_string(st.codeword_bytes) +
+         " unpredictable=" + std::to_string(st.unpredictable_bytes) + "/" +
+         std::to_string(st.unpredictable_count) +
+         " elements=" + std::to_string(st.element_count) +
+         " encrypted=" + std::to_string(st.encrypted_bytes) +
+         " predictable=" + predictable + " |" + flows(r.times) + " |" +
+         flows(c.decompress(BytesView(r.container)).times);
+}
+
+TEST(GoldenContainer, StageByteFlows) {
+  struct Pin {
+    core::Scheme scheme;
+    bool authenticate;
+    bool f64;
+    const char* expect;
+  };
+  const Pin pins[] = {
+      {core::Scheme::kNone, false, false,
+        "b61956d6ff4e599b raw=15360 container=7882 payload=13946"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=0"
+        " predictable=0.12656250000000002 | huffman=15360>491"
+        " lossless=13946>7820 predict+quantize=15360>28805 |"
+        " huffman=491>15360 lossless=7820>13946"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kNone, false, true,
+        "3bfdfa466f46e4c9 raw=30720 container=7122 payload=9533"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=0"
+        " predictable=0.96015625000000004 | huffman=15360>8925"
+        " lossless=9533>7060 predict+quantize=30720>15957 |"
+        " huffman=8925>15360 lossless=7060>9533"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kNone, true, false,
+        "7686f17b3014334b raw=15360 container=7914 payload=13946"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=0"
+        " predictable=0.12656250000000002 | huffman=15360>491"
+        " lossless=13946>7820 predict+quantize=15360>28805 |"
+        " huffman=491>15360 lossless=7820>13946"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kNone, true, true,
+        "20218bd3c3ae1ac4 raw=30720 container=7154 payload=9533"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=0"
+        " predictable=0.96015625000000004 | huffman=15360>8925"
+        " lossless=9533>7060 predict+quantize=30720>15957 |"
+        " huffman=8925>15360 lossless=7060>9533"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kCmprEncr, false, false,
+        "f9751bb8438d204d raw=15360 container=7886 payload=13946"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=7820"
+        " predictable=0.12656250000000002 | encrypt=7820>7824"
+        " huffman=15360>491 lossless=13946>7820"
+        " predict+quantize=15360>28805 | decrypt=7824>7820"
+        " huffman=491>15360 lossless=7820>13946"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kCmprEncr, false, true,
+        "d010d59e5d011251 raw=30720 container=7134 payload=9533"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=7060"
+        " predictable=0.96015625000000004 | encrypt=7060>7072"
+        " huffman=15360>8925 lossless=9533>7060"
+        " predict+quantize=30720>15957 | decrypt=7072>7060"
+        " huffman=8925>15360 lossless=7060>9533"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kCmprEncr, true, false,
+        "d816395264c87bc8 raw=15360 container=7918 payload=13946"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=7820"
+        " predictable=0.12656250000000002 | encrypt=7820>7824"
+        " huffman=15360>491 lossless=13946>7820"
+        " predict+quantize=15360>28805 | decrypt=7824>7820"
+        " huffman=491>15360 lossless=7820>13946"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kCmprEncr, true, true,
+        "f74b981bef355758 raw=30720 container=7166 payload=9533"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=7060"
+        " predictable=0.96015625000000004 | encrypt=7060>7072"
+        " huffman=15360>8925 lossless=9533>7060"
+        " predict+quantize=30720>15957 | decrypt=7072>7060"
+        " huffman=8925>15360 lossless=7060>9533"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kEncrQuant, false, false,
+        "076e35e1f2c9cb1e raw=15360 container=8002 payload=13950"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=494"
+        " predictable=0.12656250000000002 | encrypt=494>496"
+        " huffman=15360>491 lossless=13950>7940"
+        " predict+quantize=15360>28805 | decrypt=496>494"
+        " huffman=491>15360 lossless=7940>13950"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kEncrQuant, false, true,
+        "f61a10f6433f14d8 raw=30720 container=9617 payload=9550"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=8929"
+        " predictable=0.96015625000000004 | encrypt=8929>8944"
+        " huffman=15360>8925 lossless=9550>9555"
+        " predict+quantize=30720>15957 | decrypt=8944>8929"
+        " huffman=8925>15360 lossless=9555>9550"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kEncrQuant, true, false,
+        "cc800cf7405cb4ee raw=15360 container=8034 payload=13950"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=494"
+        " predictable=0.12656250000000002 | encrypt=494>496"
+        " huffman=15360>491 lossless=13950>7940"
+        " predict+quantize=15360>28805 | decrypt=496>494"
+        " huffman=491>15360 lossless=7940>13950"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kEncrQuant, true, true,
+        "2630a01e019026e8 raw=30720 container=9649 payload=9550"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=8929"
+        " predictable=0.96015625000000004 | encrypt=8929>8944"
+        " huffman=15360>8925 lossless=9550>9555"
+        " predict+quantize=30720>15957 | decrypt=8944>8929"
+        " huffman=8925>15360 lossless=9555>9550"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kEncrHuffman, false, false,
+        "9cae546ebf236276 raw=15360 container=7888 payload=13951"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=11"
+        " predictable=0.12656250000000002 | encrypt=11>16"
+        " huffman=15360>491 lossless=13951>7826"
+        " predict+quantize=15360>28805 | decrypt=16>11"
+        " huffman=491>15360 lossless=7826>13951"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kEncrHuffman, false, true,
+        "76803683c92249b6 raw=30720 container=9612 payload=9545"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=3940"
+        " predictable=0.96015625000000004 | encrypt=3940>3952"
+        " huffman=15360>8925 lossless=9545>9550"
+        " predict+quantize=30720>15957 | decrypt=3952>3940"
+        " huffman=8925>15360 lossless=9550>9545"
+        " reconstruct=15957>30720"},
+      {core::Scheme::kEncrHuffman, true, false,
+        "b63b4364d9f42adb raw=15360 container=7920 payload=13951"
+        " tree=11 codewords=480 unpredictable=13413/3354"
+        " elements=3840 encrypted=11"
+        " predictable=0.12656250000000002 | encrypt=11>16"
+        " huffman=15360>491 lossless=13951>7826"
+        " predict+quantize=15360>28805 | decrypt=16>11"
+        " huffman=491>15360 lossless=7826>13951"
+        " reconstruct=28805>15360"},
+      {core::Scheme::kEncrHuffman, true, true,
+        "ce25369ba03b4ec4 raw=30720 container=9644 payload=9545"
+        " tree=3940 codewords=4985 unpredictable=573/153"
+        " elements=3840 encrypted=3940"
+        " predictable=0.96015625000000004 | encrypt=3940>3952"
+        " huffman=15360>8925 lossless=9545>9550"
+        " predict+quantize=30720>15957 | decrypt=3952>3940"
+        " huffman=8925>15360 lossless=9550>9545"
+        " reconstruct=15957>30720"},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(std::string(core::scheme_name(p.scheme)) +
+                 (p.authenticate ? " +mac" : "") + (p.f64 ? " f64" : " f32"));
+    EXPECT_EQ(stage_pin(p.scheme, p.authenticate, p.f64), p.expect);
+  }
 }
 
 TEST(GoldenContainer, ChunkedArchive) {
